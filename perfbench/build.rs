@@ -1,0 +1,20 @@
+//! Records the compiler version and build profile for the provenance
+//! block the benchmark prints.
+
+use std::process::Command;
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".to_owned());
+    let version = Command::new(rustc)
+        .arg("--version")
+        .output()
+        .ok()
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map(|v| v.trim().to_owned())
+        .unwrap_or_else(|| "unknown".to_owned());
+    println!("cargo:rustc-env=PERFBENCH_RUSTC={version}");
+    let profile = std::env::var("PROFILE").unwrap_or_else(|_| "unknown".to_owned());
+    let opt = std::env::var("OPT_LEVEL").unwrap_or_else(|_| "?".to_owned());
+    println!("cargo:rustc-env=PERFBENCH_PROFILE={profile} (opt-level {opt})");
+    println!("cargo:rerun-if-changed=build.rs");
+}
