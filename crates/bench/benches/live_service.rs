@@ -5,16 +5,16 @@
 //!
 //! * `publish_only` — swapping a new snapshot into the store (the
 //!   reader-visible step of an update tick);
-//! * `ingest_1_doc` — the full durable tick: journal append + fsync,
-//!   copy-on-write `apply_delta`, publish (two of them: a removal
-//!   and a re-add, so the engine state is identical across
-//!   iterations);
+//! * `ingest_1_doc` — the full durable commit on a one-shard service:
+//!   journal append + fsync, copy-on-write apply, view publish (two
+//!   of them: a removal and a re-add, so the engine state is
+//!   identical across iterations);
 //! * `ingest_batch_8` / `ingest_batch_64` — the same churn pushed
 //!   through one group commit: N journal records under a single
 //!   fsync, one amortized in-order apply, one publish. Divide by the batch
 //!   size and compare against `ingest_1_doc / 2` for the per-delta
 //!   amortization (the batch-64 target is ≥5× at 100k docs);
-//! * `snapshot_acquire` — what a reader pays to pin an epoch;
+//! * `snapshot_acquire` — what a reader pays to pin the served view;
 //! * `query_baseline` / `query_under_writes` — the same probe query
 //!   against an idle engine and against one absorbing a continuous
 //!   write stream from a background thread. The serving claim is
@@ -55,7 +55,7 @@
 //! Plus the cached serving throughput (`live_service_qps` group, see
 //! [`bench_qps`]): reader fleets of 16/32 threads driving a
 //! zipf-weighted query mix against the 4-shard topology with the
-//! snapshot-keyed query cache detached, cold and warm — the ≥10×
+//! epoch-keyed query cache detached, cold and warm — the ≥10×
 //! warm-vs-single-thread claim, with merged-latency p99s.
 //!
 //! Unlike the other targets this one also *persists* its numbers:
@@ -65,7 +65,7 @@
 
 use criterion::{black_box, criterion_group, Criterion};
 use obs_analytics::{AlexaPanel, LinkGraph};
-use obs_live::{LiveService, LiveWriter, ShardedLiveService};
+use obs_live::{LiveWriter, ShardedLiveService};
 use obs_model::{document_text, CorpusDelta, PostId, SourceId};
 use obs_search::{BlendWeights, SearchEngine};
 use obs_synth::{World, WorldConfig};
@@ -88,17 +88,6 @@ fn world_with_posts(posts: usize, seed: u64) -> World {
     })
 }
 
-fn temp_journal(tag: &str) -> PathBuf {
-    static COUNTER: AtomicUsize = AtomicUsize::new(0);
-    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!(
-        "obs_live_bench_{}_{}_{}.journal",
-        std::process::id(),
-        tag,
-        n
-    ))
-}
-
 /// Probe terms guaranteed to hit: the tags of an indexed post.
 fn probe_terms(world: &World) -> Vec<String> {
     let post = world
@@ -110,12 +99,42 @@ fn probe_terms(world: &World) -> Vec<String> {
     post.tags.iter().map(|t| t.as_str().to_owned()).collect()
 }
 
+/// `engine`'s static signals with zero documents, plus its posts as
+/// 64-delta bursts of 512-post deltas — how every service is loaded.
+fn seed_and_load(world: &World, engine: &SearchEngine) -> (SearchEngine, Vec<Vec<CorpusDelta>>) {
+    let all: Vec<PostId> = world.corpus.posts().iter().map(|p| p.id).collect();
+    let mut seed = engine.clone();
+    seed.apply_delta(&CorpusDelta::for_removals(&world.corpus, &all).expect("posts resolve"));
+    let load: Vec<CorpusDelta> = all
+        .chunks(512)
+        .map(|chunk| CorpusDelta::for_posts(&world.corpus, chunk).expect("posts resolve"))
+        .collect();
+    (seed, load.chunks(64).map(<[CorpusDelta]>::to_vec).collect())
+}
+
+/// A service over `shards` shards in a fresh temp dir, loaded with
+/// every burst.
+fn loaded_service(
+    seed: &SearchEngine,
+    load: &[Vec<CorpusDelta>],
+    shards: usize,
+    tag: &str,
+) -> (ShardedLiveService, PathBuf) {
+    let dir = temp_shard_dir(tag);
+    let mut service = ShardedLiveService::start(seed, shards, &dir).expect("journals in temp dir");
+    for burst in load {
+        service.ingest_batch(burst).expect("load ingest");
+    }
+    (service, dir)
+}
+
 fn bench_scale(c: &mut Criterion, label: &str, world: &World) {
     let panel = AlexaPanel::simulate(world, 1);
     let links = LinkGraph::simulate(world, 2);
     let engine = SearchEngine::build(&world.corpus, &panel, &links, BlendWeights::default());
     let docs = engine.doc_count();
     let probe = probe_terms(world);
+    let (seed, load) = seed_and_load(world, &engine);
 
     // The churned document: the last post, removed and re-added so
     // every iteration pair leaves the engine where it started.
@@ -131,8 +150,8 @@ fn bench_scale(c: &mut Criterion, label: &str, world: &World) {
         b.iter(|| writer.publish());
     });
 
-    let path = temp_journal(label);
-    let mut service = LiveService::start(engine.clone(), &path).expect("journal in temp dir");
+    let (mut service, dir) = loaded_service(&seed, &load, 1, label);
+    assert_eq!(service.doc_count(), docs);
     group.bench_function(format!("ingest_1_doc/{docs}_docs"), |b| {
         b.iter(|| {
             service.ingest(black_box(&removal)).expect("ingest");
@@ -171,13 +190,10 @@ fn bench_scale(c: &mut Criterion, label: &str, world: &World) {
 
     let reader = service.reader();
     group.bench_function(format!("snapshot_acquire/{docs}_docs"), |b| {
-        b.iter(|| black_box(reader.snapshot()))
+        b.iter(|| black_box(reader.pin()))
     });
     group.bench_function(format!("query_baseline/{docs}_docs"), |b| {
-        b.iter(|| {
-            let snap = reader.snapshot();
-            black_box(snap.engine().query(&probe, 20))
-        })
+        b.iter(|| black_box(reader.query(&probe, 20)))
     });
 
     // Reader throughput while a writer thread streams deltas through
@@ -196,16 +212,13 @@ fn bench_scale(c: &mut Criterion, label: &str, world: &World) {
         writes
     });
     group.bench_function(format!("query_under_writes/{docs}_docs"), |b| {
-        b.iter(|| {
-            let snap = reader.snapshot();
-            black_box(snap.engine().query(&probe, 20))
-        })
+        b.iter(|| black_box(reader.query(&probe, 20)))
     });
     stop.store(true, Ordering::Relaxed);
     let writes = writer.join().expect("writer thread");
     println!("  (writer sustained {writes} journaled ingests during the contended bench)");
     group.finish();
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Sweep throughput against worker count: 16 sources, each fetch
@@ -298,12 +311,7 @@ fn bench_shard(c: &mut Criterion, world: &World) {
     // The sharded seed: the engine's static signals with zero
     // documents; the corpus streams back in as routed deltas.
     let all: Vec<PostId> = world.corpus.posts().iter().map(|p| p.id).collect();
-    let mut seed = engine.clone();
-    seed.apply_delta(&CorpusDelta::for_removals(&world.corpus, &all).expect("posts resolve"));
-    let load: Vec<CorpusDelta> = all
-        .chunks(512)
-        .map(|chunk| CorpusDelta::for_posts(&world.corpus, chunk).expect("posts resolve"))
-        .collect();
+    let (seed, load) = seed_and_load(world, &engine);
 
     // Whole-corpus churn: remove/re-add pairs over consecutive posts
     // (hash-spread across every shard), netting out to the starting
@@ -353,12 +361,7 @@ fn bench_shard(c: &mut Criterion, world: &World) {
     let mut group = c.benchmark_group("live_service_shard");
     group.sample_size(10);
     for shards in [1usize, 2, 4, 8] {
-        let dir = temp_shard_dir(&format!("{shards}"));
-        let mut service =
-            ShardedLiveService::start(&seed, shards, &dir).expect("journals in temp dir");
-        for burst in load.chunks(64) {
-            service.ingest_batch(burst).expect("load ingest");
-        }
+        let (mut service, dir) = loaded_service(&seed, &load, shards, &format!("{shards}"));
         assert_eq!(service.doc_count(), docs);
 
         group.bench_function(
@@ -474,7 +477,7 @@ fn bench_shard_smoke(c: &mut Criterion) {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Multi-reader QPS under the snapshot-keyed query cache
+/// Multi-reader QPS under the epoch-keyed query cache
 /// (`live_service_qps` group, the ~100k-doc corpus behind 4 shards):
 ///
 /// * `readers_16_nocache` — 16 reader threads hammering the scatter
@@ -503,19 +506,8 @@ fn bench_qps(world: &World) {
     let links = LinkGraph::simulate(world, 2);
     let engine = SearchEngine::build(&world.corpus, &panel, &links, BlendWeights::default());
     let docs = engine.doc_count();
-    let all: Vec<PostId> = world.corpus.posts().iter().map(|p| p.id).collect();
-    let mut seed = engine.clone();
-    seed.apply_delta(&CorpusDelta::for_removals(&world.corpus, &all).expect("posts resolve"));
-    let dir = temp_shard_dir("qps");
-    let mut service = ShardedLiveService::start(&seed, SHARDS, &dir).expect("journals in temp dir");
-    for burst in all
-        .chunks(512)
-        .map(|chunk| CorpusDelta::for_posts(&world.corpus, chunk).expect("posts resolve"))
-        .collect::<Vec<_>>()
-        .chunks(64)
-    {
-        service.ingest_batch(burst).expect("load ingest");
-    }
+    let (seed, load) = seed_and_load(world, &engine);
+    let (service, dir) = loaded_service(&seed, &load, SHARDS, "qps");
     assert_eq!(service.doc_count(), docs);
 
     // ~64 two-tag queries drawn from the corpus vocabulary, ranked by
@@ -680,19 +672,8 @@ fn bench_telemetry(c: &mut Criterion, world: &World) {
     let engine = SearchEngine::build(&world.corpus, &panel, &links, BlendWeights::default());
     let docs = engine.doc_count();
     let probe = probe_terms(world);
-    let all: Vec<PostId> = world.corpus.posts().iter().map(|p| p.id).collect();
-    let mut seed = engine.clone();
-    seed.apply_delta(&CorpusDelta::for_removals(&world.corpus, &all).expect("posts resolve"));
-    let dir = temp_shard_dir("telemetry");
-    let mut service = ShardedLiveService::start(&seed, 2, &dir).expect("journals in temp dir");
-    for burst in all
-        .chunks(512)
-        .map(|chunk| CorpusDelta::for_posts(&world.corpus, chunk).expect("posts resolve"))
-        .collect::<Vec<_>>()
-        .chunks(64)
-    {
-        service.ingest_batch(burst).expect("load ingest");
-    }
+    let (seed, load) = seed_and_load(world, &engine);
+    let (service, dir) = loaded_service(&seed, &load, 2, "telemetry");
     assert_eq!(service.doc_count(), docs);
 
     let plain = service.reader();

@@ -243,7 +243,7 @@ mod tests {
             "prose\n\
              | instrument | type | labels | recorded by |\n\
              |---|---|---|---|\n\
-             | `live_commits_total`, `live_mark_rollbacks_total` | counter | — | `LiveMetrics` |\n\
+             | `live_journal_retractions_total`, `live_mark_rollbacks_total` | counter | — | `ShardMetrics` |\n\
              | `search_query_ns` | histogram | — | `QueryTimer::finish` |\n\
              end of table\n\
              | `not_in_table` | x |\n",
@@ -252,12 +252,12 @@ mod tests {
         assert_eq!(
             keys,
             [
-                "live_commits_total",
+                "live_journal_retractions_total",
                 "live_mark_rollbacks_total",
                 "search_query_ns"
             ]
         );
-        assert_eq!(names["live_commits_total"], 4);
+        assert_eq!(names["live_journal_retractions_total"], 4);
     }
 
     #[test]

@@ -1,41 +1,34 @@
-//! Snapshot-keyed query caching for the sharded reader.
+//! Epoch-keyed query caching for the sharded reader.
 //!
 //! A [`ShardedReader`](crate::ShardedReader) answers every query
-//! from an immutable set of epoch snapshots, so two queries over the
-//! *same* snapshots, the *same* global blend, the same normalized
-//! terms and the same `k` are guaranteed — not just likely — to
-//! return bit-identical hits. That makes the cache key trivial and
-//! invalidation free:
+//! from one published view — every shard's snapshot plus the global
+//! blend, frozen together under one epoch number — so two queries
+//! over the *same* epoch, the same normalized terms and the same `k`
+//! are guaranteed — not just likely — to return bit-identical hits.
+//! That makes the cache key trivial and invalidation free:
 //!
-//! * **key** = the `Arc::as_ptr` identity of every shard's
-//!   [`EngineSnapshot`] plus the published [`StaticBlend`], the
-//!   [`normalize_query`]-normalized terms, and `k`. Publishing a new snapshot or blend swaps the
-//!   `Arc` — the pointer changes, so every entry keyed to the old
-//!   epoch simply stops matching. No flush, no version counter, no
-//!   write-path coordination at all.
-//! * **ABA safety**: a pointer is only an identity while its
-//!   allocation lives. Each entry therefore holds [`Weak`] references
-//!   to the exact snapshots and blend it was computed from; a `Weak`
-//!   keeps the `ArcInner` allocation pinned (the weak count holds the
-//!   box) even after the strong count reaches zero, so a key built
-//!   from a *live* snapshot can never pointer-collide with an entry
-//!   computed from a dead, recycled one.
+//! * **key** = the view's epoch, the [`normalize_query`]-normalized
+//!   terms, and `k`. Every routed commit publishes a view under a
+//!   fresh epoch, so every entry keyed to an older view simply stops
+//!   matching. No flush, no write-path coordination at all.
+//! * **epochs never repeat within a process**, across every service
+//!   in it, so a view from one service can never hit an entry filled
+//!   from another's.
 //! * **eviction** is capacity-bounded FIFO: hits never take the write
 //!   lock, so the hot path over a stable epoch is one read-locked
 //!   hash probe plus a result clone. Epoch swaps naturally age dead
 //!   entries out through the same FIFO.
 //!
 //! Transparency — a cached reader never observes anything a fresh
-//! uncached query against the snapshots it holds would not return —
-//! is pinned by the `cache_transparency` concurrency suite in
+//! uncached query against the view it holds would not return — is
+//! pinned by the `cache_transparency` concurrency suite in
 //! `crates/live/tests`.
 
-use crate::snapshot::EngineSnapshot;
-use obs_search::{normalize_query, SearchHit, StaticBlend};
+use obs_search::{normalize_query, SearchHit};
 use obs_telemetry::{Counter, Registry};
 use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, RwLock, Weak};
+use std::sync::RwLock;
 
 /// Hit/miss/fill/eviction counters for one [`QueryCache`],
 /// registered in an [`obs_telemetry::Registry`]. Cheap to clone;
@@ -82,40 +75,21 @@ impl CacheMetrics {
     }
 }
 
-/// The full identity of one answerable query: epoch pointers,
-/// normalized terms, result size.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct CacheKey {
-    /// `Arc::as_ptr` of each shard's snapshot, in shard order.
-    epochs: Vec<usize>,
-    /// `Arc::as_ptr` of the published global blend.
-    blend: usize,
-    /// Normalized query terms, in query order (duplicates included —
-    /// the scorer collapses them, so keeping them costs nothing and
-    /// keys stay a pure function of the normalized input).
-    terms: Vec<String>,
-    /// Requested result count.
-    k: usize,
-}
-
-/// One cached ranking plus the weak pins that keep its key's pointer
-/// identities honest (see the module docs on ABA safety).
-#[derive(Debug)]
-struct CacheEntry {
-    hits: Vec<SearchHit>,
-    _epochs: Vec<Weak<EngineSnapshot>>,
-    _blend: Weak<StaticBlend>,
-}
+/// The full identity of one answerable query: view epoch,
+/// normalized terms (in query order, duplicates included — the
+/// scorer collapses them, so keys stay a pure function of the
+/// normalized input), result size.
+type CacheKey = (u64, Vec<String>, usize);
 
 #[derive(Debug, Default)]
 struct CacheInner {
-    map: HashMap<CacheKey, CacheEntry>,
+    map: HashMap<CacheKey, Vec<SearchHit>>,
     /// Insertion order for FIFO eviction. May briefly hold keys a
     /// racing insert already displaced; eviction skips those.
     fifo: VecDeque<CacheKey>,
 }
 
-/// A capacity-bounded, snapshot-keyed cache of scatter-gather query
+/// A capacity-bounded, epoch-keyed cache of scatter-gather query
 /// results. Attach one to a service with
 /// [`ShardedLiveService::with_query_cache`](crate::ShardedLiveService::with_query_cache);
 /// every reader the service hands out then shares it.
@@ -161,14 +135,13 @@ impl QueryCache {
 
     /// Answers a query from the cache, or runs `compute` over the
     /// normalized terms and fills the entry. The caller supplies the
-    /// exact snapshots and blend the computation will read — they
-    /// *are* the epoch half of the key — so a returned hit is always
-    /// the bit-identical result of the same plan over the same
-    /// frozen state.
+    /// epoch of the exact view the computation will read — it *is*
+    /// the epoch half of the key — so a returned hit is always the
+    /// bit-identical result of the same plan over the same frozen
+    /// state.
     pub(crate) fn query_or_compute<S: AsRef<str>>(
         &self,
-        snapshots: &[Arc<EngineSnapshot>],
-        blend: &Arc<StaticBlend>,
+        epoch: u64,
         terms: &[S],
         k: usize,
         compute: impl FnOnce(&[String]) -> Vec<SearchHit>,
@@ -177,13 +150,8 @@ impl QueryCache {
             .into_iter()
             .map(Cow::into_owned)
             .collect();
-        let key = CacheKey {
-            epochs: snapshots.iter().map(|s| Arc::as_ptr(s) as usize).collect(),
-            blend: Arc::as_ptr(blend) as usize,
-            terms,
-            k,
-        };
-        if let Some(hits) = self.read(|inner| inner.map.get(&key).map(|e| e.hits.clone())) {
+        let key = (epoch, terms, k);
+        if let Some(hits) = self.read(|inner| inner.map.get(&key).cloned()) {
             if let Some(m) = &self.metrics {
                 m.hits.inc();
             }
@@ -192,28 +160,17 @@ impl QueryCache {
         if let Some(m) = &self.metrics {
             m.misses.inc();
         }
-        let hits = compute(&key.terms);
-        self.fill(key, snapshots, blend, hits.clone());
+        let hits = compute(&key.1);
+        self.fill(key, hits.clone());
         hits
     }
 
     /// Inserts one computed entry, evicting FIFO-oldest entries while
     /// over capacity.
-    fn fill(
-        &self,
-        key: CacheKey,
-        snapshots: &[Arc<EngineSnapshot>],
-        blend: &Arc<StaticBlend>,
-        hits: Vec<SearchHit>,
-    ) {
+    fn fill(&self, key: CacheKey, hits: Vec<SearchHit>) {
         if self.capacity == 0 {
             return;
         }
-        let entry = CacheEntry {
-            hits,
-            _epochs: snapshots.iter().map(Arc::downgrade).collect(),
-            _blend: Arc::downgrade(blend),
-        };
         let mut evicted = 0u64;
         let mut filled = false;
         self.write(|inner| {
@@ -229,7 +186,7 @@ impl QueryCache {
             // our miss and this insert; replacing its value with the
             // bit-identical one is harmless, but the FIFO should not
             // hold the key twice.
-            if inner.map.insert(key.clone(), entry).is_none() {
+            if inner.map.insert(key.clone(), hits).is_none() {
                 inner.fifo.push_back(key);
                 filled = true;
             }
@@ -266,47 +223,42 @@ impl QueryCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ShardedLiveService;
     use obs_analytics::{AlexaPanel, LinkGraph};
+    use obs_model::{CorpusDelta, PostId};
     use obs_search::{BlendWeights, SearchEngine};
     use obs_synth::{World, WorldConfig};
 
-    fn snapshot_pair() -> (Arc<EngineSnapshot>, Arc<StaticBlend>) {
+    fn world_and_engine() -> (World, SearchEngine) {
         let world = World::generate(WorldConfig::small(777));
         let panel = AlexaPanel::simulate(&world, 1);
         let links = LinkGraph::simulate(&world, 2);
         let engine = SearchEngine::build(&world.corpus, &panel, &links, BlendWeights::default());
-        let blend = Arc::new(engine.blend().clone());
-        (Arc::new(EngineSnapshot::new(0, engine)), blend)
+        (world, engine)
     }
 
     fn query(
         cache: &QueryCache,
-        snap: &Arc<EngineSnapshot>,
-        blend: &Arc<StaticBlend>,
+        engine: &SearchEngine,
+        epoch: u64,
         term: &str,
         computed: &mut usize,
     ) -> Vec<SearchHit> {
-        cache.query_or_compute(
-            std::slice::from_ref(snap),
-            blend,
-            &[term],
-            10,
-            |normalized| {
-                *computed += 1;
-                snap.engine().query(normalized, 10)
-            },
-        )
+        cache.query_or_compute(epoch, &[term], 10, |normalized| {
+            *computed += 1;
+            engine.query(normalized, 10)
+        })
     }
 
     #[test]
     fn second_identical_query_is_served_without_computing() {
-        let (snap, blend) = snapshot_pair();
+        let (_, engine) = world_and_engine();
         let registry = Registry::new();
         let metrics = CacheMetrics::new(&registry);
         let cache = QueryCache::new(8).with_metrics(metrics.clone());
         let mut computed = 0;
-        let first = query(&cache, &snap, &blend, "duomo", &mut computed);
-        let second = query(&cache, &snap, &blend, "duomo", &mut computed);
+        let first = query(&cache, &engine, 0, "duomo", &mut computed);
+        let second = query(&cache, &engine, 0, "duomo", &mut computed);
         assert_eq!(first, second);
         assert_eq!(computed, 1, "the hit must not recompute");
         assert_eq!((metrics.hits(), metrics.misses()), (1, 1));
@@ -317,52 +269,91 @@ mod tests {
 
     #[test]
     fn messy_and_normalized_forms_share_one_entry() {
-        let (snap, blend) = snapshot_pair();
+        let (_, engine) = world_and_engine();
         let cache = QueryCache::new(8);
         let mut computed = 0;
-        let clean = query(&cache, &snap, &blend, "duomo", &mut computed);
-        let messy = query(&cache, &snap, &blend, "The DUOMO!", &mut computed);
+        let clean = query(&cache, &engine, 0, "duomo", &mut computed);
+        let messy = query(&cache, &engine, 0, "The DUOMO!", &mut computed);
         assert_eq!(clean, messy);
         assert_eq!(computed, 1, "normalization must unify the keys");
         assert_eq!(cache.len(), 1);
     }
 
     #[test]
-    fn epoch_pointer_swap_retires_entries() {
-        let (snap_a, blend) = snapshot_pair();
-        // A fresh Arc around a clone of the same engine state: the
-        // contents are identical, the epoch identity is not.
-        let snap_b = Arc::new(EngineSnapshot::new(1, snap_a.engine().clone()));
+    fn a_new_epoch_retires_entries() {
+        let (_, engine) = world_and_engine();
         let cache = QueryCache::new(8);
         let mut computed = 0;
-        query(&cache, &snap_a, &blend, "duomo", &mut computed);
-        query(&cache, &snap_b, &blend, "duomo", &mut computed);
-        assert_eq!(computed, 2, "a new epoch pointer must miss");
+        query(&cache, &engine, 0, "duomo", &mut computed);
+        query(&cache, &engine, 1, "duomo", &mut computed);
+        assert_eq!(computed, 2, "a new epoch must miss");
         assert_eq!(cache.len(), 2);
     }
 
     #[test]
+    fn services_with_equal_commit_counts_never_share_entries() {
+        // Two services, each one commit past start, over different
+        // halves of the corpus. A per-service commit counter would
+        // give both views the same key; process-wide epochs must not.
+        let (world, engine) = world_and_engine();
+        let all: Vec<PostId> = world.corpus.posts().iter().map(|p| p.id).collect();
+        let mut seed = engine.clone();
+        seed.apply_delta(&CorpusDelta::for_removals(&world.corpus, &all).unwrap());
+        let (left, right) = all.split_at(all.len() / 2);
+        let base = std::env::temp_dir().join(format!("obs_live_cache_{}", std::process::id()));
+        let start = |tag: &str, posts: &[PostId], cache: Option<QueryCache>| {
+            let service = ShardedLiveService::start(&seed, 2, base.join(tag)).unwrap();
+            let mut service = match cache {
+                Some(cache) => service.with_query_cache(cache),
+                None => service,
+            };
+            service
+                .ingest(&CorpusDelta::for_posts(&world.corpus, posts).unwrap())
+                .unwrap();
+            service
+        };
+        let registry = Registry::new();
+        let metrics = CacheMetrics::new(&registry);
+        let a = start(
+            "a",
+            left,
+            Some(QueryCache::new(8).with_metrics(metrics.clone())),
+        );
+        let b = start("b", right, None);
+        let (reader_a, reader_b) = (a.reader(), b.reader());
+        let terms = ["duomo", "castle", "gardens", "market"];
+
+        let from_a = reader_a.query(&terms, 10);
+        let pin_b = reader_b.pin();
+        let from_b = reader_b.query_uncached(&pin_b, &terms, 10);
+        assert_ne!(from_a, from_b, "the halves must rank differently");
+        assert_eq!(reader_a.query_pinned(&pin_b, &terms, 10), from_b);
+        assert_eq!((metrics.hits(), metrics.misses()), (0, 2));
+        std::fs::remove_dir_all(&base).ok();
+    }
+
+    #[test]
     fn capacity_bound_evicts_fifo_and_zero_capacity_stores_nothing() {
-        let (snap, blend) = snapshot_pair();
+        let (_, engine) = world_and_engine();
         let registry = Registry::new();
         let metrics = CacheMetrics::new(&registry);
         let cache = QueryCache::new(2).with_metrics(metrics.clone());
         let mut computed = 0;
         for term in ["duomo", "castle", "market"] {
-            query(&cache, &snap, &blend, term, &mut computed);
+            query(&cache, &engine, 0, term, &mut computed);
         }
         assert_eq!(cache.len(), 2);
         assert_eq!(metrics.evictions(), 1);
         // The oldest entry ("duomo") was the one displaced.
-        query(&cache, &snap, &blend, "market", &mut computed);
+        query(&cache, &engine, 0, "market", &mut computed);
         assert_eq!(computed, 3, "newest entries must have survived");
-        query(&cache, &snap, &blend, "duomo", &mut computed);
+        query(&cache, &engine, 0, "duomo", &mut computed);
         assert_eq!(computed, 4, "the FIFO-oldest entry must be gone");
 
         let none = QueryCache::new(0);
         let mut recomputed = 0;
-        query(&none, &snap, &blend, "duomo", &mut recomputed);
-        query(&none, &snap, &blend, "duomo", &mut recomputed);
+        query(&none, &engine, 0, "duomo", &mut recomputed);
+        query(&none, &engine, 0, "duomo", &mut recomputed);
         assert_eq!(recomputed, 2);
         assert!(none.is_empty());
     }

@@ -9,11 +9,12 @@ use std::fmt;
 pub enum LiveError {
     /// The durable journal failed (I/O or corruption).
     Journal(JournalError),
-    /// A crawl tick failed at the wrapper layer.
+    /// A crawl sweep failed at the wrapper layer.
     Crawl(WrapperError),
-    /// The journal does not connect to the checkpoint: its first
-    /// retained record is later than the checkpoint's next change,
-    /// so the intervening deltas are unrecoverable.
+    /// The journal does not connect to the state recovery replays it
+    /// over (the seed engine, at sequence 0): its first retained
+    /// record is later than that state's next change, so the
+    /// intervening deltas are unrecoverable.
     CheckpointGap {
         /// Sequence the checkpoint covers.
         checkpoint_seq: u64,
@@ -37,7 +38,7 @@ impl fmt::Display for LiveError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             LiveError::Journal(e) => write!(f, "journal failure: {e}"),
-            LiveError::Crawl(e) => write!(f, "crawl tick failed: {e}"),
+            LiveError::Crawl(e) => write!(f, "crawl sweep failed: {e}"),
             LiveError::CheckpointGap {
                 checkpoint_seq,
                 journal_first_seq,

@@ -193,6 +193,8 @@ pub struct DeltaJournal {
 
 impl DeltaJournal {
     /// Creates a fresh, empty journal, truncating any existing file.
+    /// The parent directory is fsynced so the new file's entry
+    /// survives a crash.
     pub fn create(path: impl AsRef<Path>) -> Result<DeltaJournal, JournalError> {
         let path = path.as_ref().to_path_buf();
         let file = OpenOptions::new()
@@ -200,6 +202,7 @@ impl DeltaJournal {
             .write(true)
             .truncate(true)
             .open(&path)?;
+        sync_parent_dir(&path)?;
         Ok(DeltaJournal {
             path,
             file,
@@ -210,16 +213,18 @@ impl DeltaJournal {
         })
     }
 
-    /// Opens an existing journal (or creates an empty one), replaying
-    /// it to find the append position. A torn tail is physically
-    /// truncated away so the file is clean for future appends; the
-    /// replay of everything intact is returned alongside the handle.
+    /// Opens an existing journal (or creates an empty one, fsyncing
+    /// the parent directory as [`DeltaJournal::create`] does),
+    /// replaying it to find the append position. A torn tail is
+    /// physically truncated away so the file is clean for future
+    /// appends; the replay of everything intact is returned alongside
+    /// the handle.
     pub fn open(path: impl AsRef<Path>) -> Result<(DeltaJournal, JournalReplay), JournalError> {
         let path = path.as_ref().to_path_buf();
-        let replay = match Self::replay_path(&path) {
-            Ok(replay) => replay,
+        let (replay, created) = match Self::replay_path(&path) {
+            Ok(replay) => (replay, false),
             Err(JournalError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
-                JournalReplay::default()
+                (JournalReplay::default(), true)
             }
             Err(e) => return Err(e),
         };
@@ -232,6 +237,9 @@ impl DeltaJournal {
             file.sync_data()?;
         }
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
+        if created {
+            sync_parent_dir(&path)?;
+        }
         Ok((
             DeltaJournal {
                 path,
@@ -526,7 +534,8 @@ impl DeltaJournal {
 
     /// Writes `records` to a sibling temp file, fsyncs it, and
     /// renames it over `path` so the journal is never observable in
-    /// a half-rewritten state.
+    /// a half-rewritten state, then fsyncs the directory so the
+    /// rename itself survives a crash.
     fn rewrite_refs(path: &Path, records: &[&SequencedDelta]) -> Result<(), JournalError> {
         let tmp = path.with_extension("journal.tmp");
         {
@@ -547,8 +556,22 @@ impl DeltaJournal {
             out.get_ref().sync_data()?;
         }
         std::fs::rename(&tmp, path)?;
+        // The rename is only durable once the directory entry is.
+        sync_parent_dir(path)?;
         Ok(())
     }
+}
+
+/// Fsyncs the directory holding `path`, making a file creation or a
+/// rename in it durable — fsyncing the file itself does not persist
+/// its directory entry.
+fn sync_parent_dir(path: &Path) -> Result<(), JournalError> {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    File::open(dir)?.sync_all()?;
+    Ok(())
 }
 
 #[cfg(test)]

@@ -17,43 +17,41 @@
 //! * [`DeltaJournal`] — an append-only on-disk log of serialized
 //!   deltas with sequence numbers, crc-protected records,
 //!   torn-tail tolerance (a truncated final record is detected and
-//!   dropped, not a panic) and prefix compaction once a checkpoint
-//!   covers it.
-//! * [`LiveService`] — wires a crawl tick through
-//!   *journal → apply → publish*, and [`LiveService::recover`]
-//!   rebuilds the exact pre-crash engine by replaying the journal
-//!   over a checkpoint.
-//! * **Group commit** — [`LiveService::ingest_batch`] and
-//!   [`LiveService::tick_sweep`] amortize the per-delta costs across
-//!   a burst: N journal records share one fsync
+//!   dropped, not a panic) and prefix compaction.
+//! * [`ShardedLiveService`] — the service. It partitions the corpus
+//!   by source id ([`ShardRouter`]) into N journal + writer columns
+//!   (one shard is the unsharded service) and enforces the one
+//!   ordering that makes crashes safe: **journal (fsync) → apply →
+//!   publish**. [`ShardedLiveService::ingest_batch`] and
+//!   [`ShardedLiveService::tick_sweep`] group-commit a burst: each
+//!   shard's records share one fsync
 //!   ([`DeltaJournal::append_batch`], all-or-nothing), one
-//!   copy-on-write index detach and one deferred signal re-blend
-//!   ([`LiveWriter::apply_batch`], which applies the burst in replay
-//!   order), and one published snapshot. Readers only ever observe
-//!   batch boundaries; recovery replays the per-delta records and
-//!   lands on the identical engine by construction.
-//! * **Sharding** — [`ShardedLiveService`] partitions the corpus by
-//!   source id ([`ShardRouter`]): every shard owns its own journal +
-//!   writer + snapshot column, routed sub-batches commit in parallel,
-//!   recovery replays each shard's journal independently, and
-//!   [`ShardedReader`] answers queries with a scatter-gather plan
+//!   copy-on-write index detach and one deferred re-blend
+//!   ([`LiveWriter::apply_batch`], replay order), and routed
+//!   sub-batches commit in parallel. Each commit then publishes
+//!   **one** view ([`PinnedShards`]): every shard's snapshot and the
+//!   global blend under one epoch, so readers only ever observe
+//!   whole commits. [`ShardedLiveService::recover`] replays each
+//!   shard's journal and lands on the identical engines by
+//!   construction.
+//! * [`ShardedReader`] answers queries with a scatter-gather plan
 //!   that is bit-identical to an unsharded engine over the same
 //!   documents (see [`shard`]).
 //! * **Query caching** — [`QueryCache`] memoizes top-k rankings
-//!   keyed by the exact snapshot epochs that produced them, so a
-//!   publish invalidates for free and a cached reader is observably
+//!   keyed by the epoch of the view that produced them, so a publish
+//!   invalidates for free and a cached reader is observably
 //!   identical to an uncached one (see [`cache`]).
 //!
 //! ```text
-//! crawler ticks ──► DeltaJournal (fsync) ──► LiveWriter.apply ──► publish
-//!                                                                    │
-//!                       SnapshotReader.snapshot() ◄── SnapshotStore ◄┘
-//!                       (N reader threads, never blocked)
+//! crawler sweeps ──► route ──► per shard: DeltaJournal (fsync) ──► LiveWriter.apply
+//!                                                                      │
+//!      ShardedReader.pin() ◄── one view per commit (all shards + blend) ◄┘
+//!      (N reader threads, never blocked)
 //! ```
 //!
-//! The recovery invariant — replaying the journal over a checkpoint
-//! reproduces the uninterrupted engine down to identical BM25 score
-//! maps — is enforced by property tests at the workspace level.
+//! The recovery invariant — replaying the journals reproduces the
+//! uninterrupted engines down to identical BM25 score maps — is
+//! enforced by property tests at the workspace level.
 
 #![warn(missing_docs)]
 
@@ -61,14 +59,12 @@ pub mod cache;
 mod error;
 pub mod journal;
 pub mod metrics;
-pub mod service;
 pub mod shard;
 pub mod snapshot;
 
 pub use cache::{CacheMetrics, QueryCache};
 pub use error::LiveError;
 pub use journal::{DeltaJournal, JournalError, JournalReplay};
-pub use metrics::{LiveMetrics, ShardMetrics};
-pub use service::{LiveService, RecoveryReport};
-pub use shard::{PinnedShards, ShardRouter, ShardedLiveService, ShardedReader};
+pub use metrics::ShardMetrics;
+pub use shard::{PinnedShards, RecoveryReport, ShardRouter, ShardedLiveService, ShardedReader};
 pub use snapshot::{EngineSnapshot, LiveWriter, SnapshotReader, SnapshotStore};

@@ -5,15 +5,15 @@
 //! observability. [`shard`](crate::shard) is `lint:deterministic`
 //! (the router and commit order must replay identically), so it
 //! never reads a clock itself — it hands closures to
-//! [`ShardMetrics::time_shard_commit`], which lives here and owns
-//! the [`TelemetryClock`](obs_telemetry::TelemetryClock). The
+//! [`ShardMetrics::time_shard_commit`] and to the crate-private
+//! stage timer, which live here and own the
+//! [`TelemetryClock`](obs_telemetry::TelemetryClock). The
 //! instruments:
 //!
 //! | instrument | type | labels | answers |
 //! |---|---|---|---|
-//! | `live_ingest_stage_ns` | histogram | `stage` | where does a commit spend its time? |
+//! | `live_ingest_stage_ns` | histogram | `stage` | where does a shard commit spend its time? |
 //! | `live_ingest_batch_deltas` | histogram | — | how big are group commits? |
-//! | `live_commits_total` | counter | — | how many commits landed? |
 //! | `live_journal_retractions_total` | counter | — | how often did durability fail? |
 //! | `live_mark_rollbacks_total` | counter | — | how often were crawl cursors rolled back? |
 //! | `live_shard_commit_ns` | histogram | `shard` | is one shard slow? |
@@ -21,64 +21,38 @@
 //! | `live_shard_failures_total` | counter | `shard` | is one shard failing? |
 //! | `live_commit_fanout_shards` | histogram | — | how wide do routed commits fan out? |
 //!
-//! `stage` is `journal` / `fsync` / `apply` / `publish` for
-//! single-delta ingest; the batch path journals and fsyncs in one
+//! `stage` is `journal_fsync` (one
 //! [`DeltaJournal::append_batch`](crate::DeltaJournal::append_batch)
-//! call (that's the group-commit point), so it records that fused
-//! stage as `stage="journal_fsync"` instead of the first two.
+//! call: every record of the sub-batch under one fsync — the
+//! group-commit point), `apply` (the batched engine apply) or
+//! `publish` (freezing the shard's new snapshot).
 
 use crate::error::LiveError;
 use obs_search::SearchMetrics;
-use obs_telemetry::{Counter, Histogram, Registry, SharedClock, Stopwatch};
+use obs_telemetry::{Counter, Histogram, Registry, SharedClock};
 
-/// Instrument handles for one [`LiveService`](crate::LiveService)'s
-/// commit pipeline. Cheap to clone; recording is lock-free.
-#[derive(Debug, Clone)]
-pub struct LiveMetrics {
-    clock: SharedClock,
-    pub(crate) stage_journal: Histogram,
-    pub(crate) stage_fsync: Histogram,
-    pub(crate) stage_journal_fsync: Histogram,
-    pub(crate) stage_apply: Histogram,
-    pub(crate) stage_publish: Histogram,
-    pub(crate) batch_deltas: Histogram,
-    pub(crate) commits: Counter,
-    pub(crate) retractions: Counter,
-    pub(crate) rollbacks: Counter,
-}
-
-impl LiveMetrics {
-    /// Registers the commit-pipeline instruments in `registry`.
-    pub fn new(registry: &Registry) -> LiveMetrics {
-        let stage = |s: &str| registry.histogram_with("live_ingest_stage_ns", &[("stage", s)]);
-        LiveMetrics {
-            clock: registry.clock_handle(),
-            stage_journal: stage("journal"),
-            stage_fsync: stage("fsync"),
-            stage_journal_fsync: stage("journal_fsync"),
-            stage_apply: stage("apply"),
-            stage_publish: stage("publish"),
-            batch_deltas: registry.histogram("live_ingest_batch_deltas"),
-            commits: registry.counter("live_commits_total"),
-            retractions: registry.counter("live_journal_retractions_total"),
-            rollbacks: registry.counter("live_mark_rollbacks_total"),
-        }
-    }
-
-    /// A stopwatch on the metrics clock, for staging one commit.
-    pub(crate) fn stopwatch(&self) -> Stopwatch {
-        Stopwatch::start(self.clock.clone())
-    }
+/// One timed step of a shard commit (the `stage` label of
+/// `live_ingest_stage_ns`).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Stage {
+    JournalFsync,
+    Apply,
+    Publish,
 }
 
 /// Instrument handles for a
-/// [`ShardedLiveService`](crate::ShardedLiveService): per-shard
-/// commit latency and outcome counters, commit fan-out width, the
-/// shared mark-rollback counter, and the query path's
-/// [`SearchMetrics`] for its [`ShardedReader`](crate::ShardedReader).
+/// [`ShardedLiveService`](crate::ShardedLiveService): commit-stage
+/// timings, group-commit sizes and retractions, per-shard commit
+/// latency and outcome counters, commit fan-out width, the
+/// mark-rollback counter, and the query path's [`SearchMetrics`] for
+/// its [`ShardedReader`](crate::ShardedReader). Cheap to clone;
+/// recording is lock-free.
 #[derive(Debug, Clone)]
 pub struct ShardMetrics {
     clock: SharedClock,
+    stages: [Histogram; 3],
+    pub(crate) batch_deltas: Histogram,
+    pub(crate) retractions: Counter,
     commit_ns: Vec<Histogram>,
     commits: Vec<Counter>,
     failures: Vec<Counter>,
@@ -95,6 +69,10 @@ impl ShardMetrics {
         // instrument-drift lint pass can see them.
         ShardMetrics {
             clock: registry.clock_handle(),
+            stages: ["journal_fsync", "apply", "publish"]
+                .map(|s| registry.histogram_with("live_ingest_stage_ns", &[("stage", s)])),
+            batch_deltas: registry.histogram("live_ingest_batch_deltas"),
+            retractions: registry.counter("live_journal_retractions_total"),
             commit_ns: (0..shards)
                 .map(|i| {
                     registry.histogram_with("live_shard_commit_ns", &[("shard", &i.to_string())])
@@ -160,6 +138,23 @@ impl ShardMetrics {
     }
 }
 
+/// Runs one commit stage, recording its duration under
+/// `live_ingest_stage_ns{stage}` when the service is instrumented —
+/// the stage-level clock boundary for the shard module.
+pub(crate) fn time_stage<T>(
+    metrics: Option<&ShardMetrics>,
+    stage: Stage,
+    step: impl FnOnce() -> T,
+) -> T {
+    let Some(m) = metrics else {
+        return step();
+    };
+    let start = m.clock.now_ns();
+    let out = step();
+    m.stages[stage as usize].record(m.clock.now_ns().saturating_sub(start));
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,13 +196,19 @@ mod tests {
     }
 
     #[test]
-    fn live_metrics_register_the_stage_series() {
-        let registry = Registry::new();
-        let metrics = LiveMetrics::new(&registry);
-        metrics.stage_apply.record(10);
-        metrics.commits.inc();
+    fn stage_timer_records_under_its_stage_label_only_when_instrumented() {
+        let clock = Arc::new(ManualClock::new());
+        let registry = Registry::with_clock(clock.clone());
+        let metrics = ShardMetrics::new(&registry, 1);
+        let out = time_stage(Some(&metrics), Stage::Apply, || {
+            clock.advance(40);
+            7
+        });
+        assert_eq!(out, 7);
+        assert_eq!(time_stage(None, Stage::Publish, || 8), 8);
+        assert_eq!(metrics.stages[Stage::Apply as usize].snapshot().sum(), 40);
         let text = registry.render_text();
         assert!(text.contains("live_ingest_stage_ns_count{stage=\"apply\"} 1"));
-        assert!(text.contains("live_commits_total 1"));
+        assert!(text.contains("live_ingest_stage_ns_count{stage=\"publish\"} 0"));
     }
 }

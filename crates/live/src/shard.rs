@@ -1,28 +1,28 @@
 //! Sharded serving: a partitioned corpus behind one scatter-gather
 //! query plan.
 //!
-//! The single-shard [`LiveService`](crate::LiveService) pays two
-//! whole-corpus costs per ingest burst: the copy-on-write index
-//! detach touches the entire index, and every fsync serializes all
-//! sources behind one journal. Partitioning the corpus into N shards
-//! — hash of the source id, [`SourceId::shard`] — makes both costs
-//! per-shard: each shard owns its own [`SearchEngine`] +
-//! [`DeltaJournal`] +
-//! [`SnapshotStore`](crate::SnapshotStore), routed sub-batches
-//! commit in parallel (each reusing the group-commit
+//! A single index pays two whole-corpus costs per ingest burst: the
+//! copy-on-write index detach touches the entire index, and every
+//! fsync serializes all sources behind one journal. Partitioning the
+//! corpus into N shards — hash of the source id, [`SourceId::shard`]
+//! — makes both costs per-shard: each shard owns its own
+//! [`SearchEngine`] + [`DeltaJournal`] + [`LiveWriter`], routed
+//! sub-batches commit in parallel (each reusing the group-commit
 //! [`append_batch`](crate::DeltaJournal::append_batch) fsync
-//! batching), and crash recovery replays only the dead shard's
-//! journal.
+//! batching), and crash recovery replays each shard's own journal.
+//! One shard is the unsharded service: routing is the identity and
+//! the journal is byte-identical to a bare [`DeltaJournal`] fed the
+//! same batches.
 //!
 //! One routed batch flows as:
 //!
 //! ```text
-//!                 ┌► shard 0: journal (fsync) ─► apply ─► publish
-//! deltas ─ route ─┼► shard 1: journal (fsync) ─► apply ─► publish
-//!  (by source id) └► shard 2: journal (fsync) ─► apply ─► publish
+//!                 ┌► shard 0: journal (fsync) ─► apply ─► freeze
+//! deltas ─ route ─┼► shard 1: journal (fsync) ─► apply ─► freeze
+//!  (by source id) └► shard 2: journal (fsync) ─► apply ─► freeze
 //!                                │ (parallel, one thread per shard)
 //!            engagement of committed shards ─► global StaticBlend
-//!                                              └► blend publish
+//!                                              └► ONE view publish
 //! ```
 //!
 //! Queries fan out with the scatter-gather plan
@@ -33,8 +33,13 @@
 //! in one shard. The one piece of state that cannot be partitioned —
 //! the z-score-standardized static blend — stays global: a single
 //! [`StaticBlend`] absorbs every committed shard's engagement
-//! through the same code path the unsharded engine uses and is
-//! published through its own epoch cell beside the shard snapshots.
+//! through the same code path the unsharded engine uses.
+//!
+//! Readers see whole commits only. After the shard threads join and
+//! the blend is re-standardized, the commit publishes **one**
+//! [`PinnedShards`] view — every shard's snapshot, the blend and a
+//! fresh epoch — behind one pointer, so [`ShardedReader::pin`] is one
+//! `Arc` clone and never mixes shards from different commits.
 //!
 //! Shards are **independent failure domains**: a refused fsync
 //! retracts only that shard's sub-batch
@@ -50,9 +55,8 @@
 use crate::cache::QueryCache;
 use crate::error::LiveError;
 use crate::journal::DeltaJournal;
-use crate::metrics::ShardMetrics;
-use crate::service::RecoveryReport;
-use crate::snapshot::{EngineSnapshot, LiveWriter, SnapshotReader};
+use crate::metrics::{time_stage, ShardMetrics, Stage};
+use crate::snapshot::{EngineSnapshot, LiveWriter, SnapshotStore};
 use obs_model::{Clock, CorpusDelta, PostId, SourceId};
 use obs_search::{
     scatter_query, scatter_query_traced, SearchEngine, SearchHit, SearchMetrics, StaticBlend,
@@ -60,7 +64,8 @@ use obs_search::{
 use obs_wrappers::{Crawler, DataService, HighWaterMarks, SweepReport};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Routes change-sets to shards by source id.
 ///
@@ -75,7 +80,7 @@ use std::sync::{Arc, RwLock};
 ///
 /// With one shard, routing is the identity: the single sub-delta
 /// reproduces the input delta exactly, so a 1-shard service journals
-/// byte-for-byte what the unsharded service journals.
+/// byte-for-byte what a bare journal fed the same batches holds.
 ///
 /// ```
 /// use obs_live::ShardRouter;
@@ -188,39 +193,20 @@ impl ShardRouter {
     }
 }
 
-/// The global static blend behind its own epoch cell — readers grab
-/// the current `Arc` under a lock held for one clone, exactly the
-/// [`SnapshotStore`](crate::SnapshotStore) discipline.
-#[derive(Debug)]
-struct BlendCell {
-    current: RwLock<Arc<StaticBlend>>,
+/// What [`ShardedLiveService::recover`] did for one shard.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RecoveryReport {
+    /// Journal records replayed into the seed engine.
+    pub replayed: usize,
+    /// Whether a truncated final record was dropped (torn tail).
+    pub torn_tail_dropped: bool,
+    /// Sequence the recovered shard resumed at.
+    pub recovered_seq: u64,
 }
 
-impl BlendCell {
-    fn new(blend: StaticBlend) -> BlendCell {
-        BlendCell {
-            current: RwLock::new(Arc::new(blend)),
-        }
-    }
-
-    fn load(&self) -> Arc<StaticBlend> {
-        match self.current.read() {
-            Ok(guard) => Arc::clone(&guard),
-            Err(poisoned) => Arc::clone(&poisoned.into_inner()),
-        }
-    }
-
-    fn publish(&self, blend: Arc<StaticBlend>) {
-        match self.current.write() {
-            Ok(mut guard) => *guard = blend,
-            Err(poisoned) => *poisoned.into_inner() = blend,
-        }
-    }
-}
-
-/// One shard's moving parts: its journal and its writer/snapshot
-/// pair. Commit order inside a shard is the service invariant:
-/// journal (fsync) → apply → publish.
+/// One shard's moving parts: its journal and its writer. Commit
+/// order inside a shard is the service invariant: journal (fsync) →
+/// apply → publish.
 #[derive(Debug)]
 struct Shard {
     writer: LiveWriter,
@@ -230,16 +216,83 @@ struct Shard {
 impl Shard {
     /// Group-commits this shard's sub-batch: all records under one
     /// fsync ([`DeltaJournal::append_batch`], all-or-nothing), one
-    /// batched apply, one published snapshot. An empty batch touches
-    /// nothing.
-    fn commit(&mut self, deltas: &[CorpusDelta]) -> Result<(), LiveError> {
+    /// batched apply, one frozen snapshot — returned for the
+    /// service's view publish. An empty batch touches nothing.
+    fn commit(
+        &mut self,
+        deltas: &[CorpusDelta],
+        metrics: Option<&ShardMetrics>,
+    ) -> Result<Option<Arc<EngineSnapshot>>, LiveError> {
         let refs: Vec<&CorpusDelta> = deltas.iter().collect();
-        let Some((first, _)) = self.journal.append_batch(&refs)? else {
-            return Ok(());
+        let appended = time_stage(metrics, Stage::JournalFsync, || {
+            self.journal.append_batch(&refs)
+        });
+        let Some((first, _)) = appended.inspect_err(|_| {
+            // `append_batch` already retracted the staged batch
+            // (all-or-nothing); account for it.
+            if let Some(m) = metrics {
+                m.retractions.inc();
+            }
+        })?
+        else {
+            return Ok(None);
         };
-        self.writer.apply_batch(first, &refs);
-        self.writer.publish();
-        Ok(())
+        if let Some(m) = metrics {
+            m.batch_deltas.record(refs.len() as u64);
+        }
+        time_stage(metrics, Stage::Apply, || {
+            self.writer.apply_batch(first, &refs)
+        });
+        Ok(Some(time_stage(metrics, Stage::Publish, || {
+            self.writer.publish()
+        })))
+    }
+}
+
+/// Source of view epochs: process-wide, so no two views — of any
+/// service in the process — ever share one. Epochs only key the
+/// query cache; nothing journaled or routed depends on them.
+static NEXT_EPOCH: AtomicU64 = AtomicU64::new(0);
+
+/// One published serving view: every shard's snapshot and the global
+/// blend of one routed commit, under one epoch.
+///
+/// A routed commit publishes exactly one of these, after its shard
+/// commits join and the blend is re-standardized, and
+/// [`ShardedReader::pin`] hands out the current one as a single
+/// `Arc`. Everything downstream of a pin — the scatter plan, the
+/// cache key, the cache-transparency contract — is a pure function
+/// of it, so a caller holding one can compare cached and uncached
+/// evaluations of the *same* view even while commits race ahead.
+#[derive(Debug)]
+pub struct PinnedShards {
+    epoch: u64,
+    snapshots: Vec<Arc<EngineSnapshot>>,
+    blend: Arc<StaticBlend>,
+}
+
+impl PinnedShards {
+    fn new(snapshots: Vec<Arc<EngineSnapshot>>, blend: Arc<StaticBlend>) -> PinnedShards {
+        PinnedShards {
+            epoch: NEXT_EPOCH.fetch_add(1, Ordering::Relaxed),
+            snapshots,
+            blend,
+        }
+    }
+
+    /// Per-shard snapshot sequences, in shard order.
+    pub fn seqs(&self) -> Vec<u64> {
+        self.snapshots.iter().map(|s| s.seq()).collect()
+    }
+
+    /// Total documents across the view's shard snapshots.
+    pub fn doc_count(&self) -> usize {
+        self.snapshots.iter().map(|s| s.engine().doc_count()).sum()
+    }
+
+    /// The view's global static score of a source.
+    pub fn static_score(&self, source: SourceId) -> f64 {
+        self.blend.score(source)
     }
 }
 
@@ -261,16 +314,17 @@ impl FailedCommit {
     }
 }
 
-/// A sharded live service: N independent journal + writer + snapshot
-/// columns behind one router, one global static blend and one
+/// The live service: N independent journal + writer columns behind
+/// one router, one global static blend, one published view and one
 /// scatter-gather query plan.
 ///
 /// Construction starts from an **empty** seed engine (carrying the
 /// analytics-derived static signals but zero documents) and grows
 /// every shard from the delta stream — an existing index cannot be
 /// partitioned after the fact. The single-shard construction is the
-/// unsharded service, byte-for-byte: same journal contents, same
-/// rankings (proptest-pinned at the workspace level).
+/// unsharded service, byte-for-byte: same journal contents as a bare
+/// [`DeltaJournal`], same rankings as a [`SearchEngine`] fed the same
+/// deltas (proptest-pinned at the workspace level).
 #[derive(Debug)]
 pub struct ShardedLiveService {
     router: ShardRouter,
@@ -278,14 +332,15 @@ pub struct ShardedLiveService {
     /// The one global blend, absorbing every committed shard's
     /// engagement in arrival order.
     blend: StaticBlend,
-    /// Published copy of `blend` for readers.
-    blend_cell: Arc<BlendCell>,
+    /// The published view readers pin: one pointer, swapped once per
+    /// routed commit.
+    view: Arc<SnapshotStore<PinnedShards>>,
     /// Per-shard commit instruments. This module is
     /// `lint:deterministic`, so all timing happens inside
     /// [`ShardMetrics`] (untagged `metrics` module) — the shard path
     /// only hands it closures and plan facts, never reads a clock.
     metrics: Option<ShardMetrics>,
-    /// Snapshot-keyed result cache shared by every reader this
+    /// Epoch-keyed result cache shared by every reader this
     /// service hands out. Lives in the untagged
     /// [`cache`](crate::cache) module for the same reason as the
     /// metrics: this module only holds the handle and calls methods.
@@ -323,15 +378,26 @@ impl ShardedLiveService {
                 journal: DeltaJournal::create(Self::shard_journal_path(dir, i))?,
             });
         }
-        let blend = seed.blend().clone();
-        Ok(ShardedLiveService {
-            router: ShardRouter::new(shards),
-            shards: handles,
-            blend_cell: Arc::new(BlendCell::new(blend.clone())),
+        Ok(Self::assemble(
+            ShardRouter::new(shards),
+            handles,
+            seed.blend().clone(),
+        ))
+    }
+
+    /// The service over freshly started or recovered shards, serving
+    /// their current state as its first view.
+    fn assemble(router: ShardRouter, shards: Vec<Shard>, blend: StaticBlend) -> ShardedLiveService {
+        let snapshots = shards.iter().map(|s| s.writer.publish()).collect();
+        let view = PinnedShards::new(snapshots, Arc::new(blend.clone()));
+        ShardedLiveService {
+            router,
+            shards,
             blend,
+            view: Arc::new(SnapshotStore::new(view)),
             metrics: None,
             query_cache: None,
-        })
+        }
     }
 
     /// Attaches per-shard commit and query instruments (see
@@ -344,14 +410,14 @@ impl ShardedLiveService {
         self
     }
 
-    /// Attaches a snapshot-keyed [`QueryCache`] (see
+    /// Attaches an epoch-keyed [`QueryCache`] (see
     /// [`cache`](crate::cache)): every reader built by
     /// [`ShardedLiveService::reader`] from now on shares it, and a
-    /// repeated query over unchanged epochs is answered from the
-    /// cached ranking instead of re-running the scatter plan. Epoch
+    /// repeated query over an unchanged view is answered from the
+    /// cached ranking instead of re-running the scatter plan. View
     /// publication invalidates for free — entries are keyed to the
-    /// snapshot `Arc` pointers a publish swaps out — so cached and
-    /// uncached readers are observably identical (pinned by the
+    /// epoch of the view a commit swaps out — so cached and uncached
+    /// readers are observably identical (pinned by the
     /// cache-transparency concurrency suite). The uncached service
     /// caches nothing.
     pub fn with_query_cache(mut self, cache: QueryCache) -> ShardedLiveService {
@@ -390,24 +456,26 @@ impl ShardedLiveService {
                     });
                 }
             }
+            // The whole journal as one batched apply: one index detach
+            // and one re-blend, bit-identical to replaying it record
+            // by record (the group-commit equivalence).
+            let deltas: Vec<&CorpusDelta> = replay.records.iter().map(|r| &r.delta).collect();
             let mut writer = LiveWriter::new(seed.clone(), 0);
-            for record in &replay.records {
-                writer.apply(record.seq, &record.delta);
+            writer.apply_batch(1, &deltas);
+            for delta in deltas {
                 // Registry rebuild mirrors routing order: removals
                 // before adds, so a remove-then-readd inside one
                 // delta leaves the post homed.
-                for &post in &record.delta.removed {
+                for &post in &delta.removed {
                     router.forget(post);
                 }
-                for doc in &record.delta.added {
+                for doc in &delta.added {
                     router.note_home(doc.post, i);
                 }
-                blend_touched |= blend.apply_engagement(&record.delta.engagement);
+                blend_touched |= blend.apply_engagement(&delta.engagement);
             }
-            writer.publish();
             reports.push(RecoveryReport {
                 replayed: replay.records.len(),
-                skipped: 0,
                 torn_tail_dropped: replay.torn_tail_dropped,
                 recovered_seq: writer.seq(),
             });
@@ -417,17 +485,7 @@ impl ShardedLiveService {
         if blend_touched {
             blend.reblend();
         }
-        Ok((
-            ShardedLiveService {
-                router,
-                shards: handles,
-                blend_cell: Arc::new(BlendCell::new(blend.clone())),
-                blend,
-                metrics: None,
-                query_cache: None,
-            },
-            reports,
-        ))
+        Ok((Self::assemble(router, handles, blend), reports))
     }
 
     fn check_seed(seed: &SearchEngine, shards: usize) {
@@ -450,11 +508,14 @@ impl ShardedLiveService {
     /// sub-deltas, then commits each shard's sub-batch **in
     /// parallel** (one scoped thread per non-empty shard), each as
     /// its own group commit — per-shard journal records under one
-    /// per-shard fsync, one batched apply, one published snapshot.
+    /// per-shard fsync, one batched apply, one frozen snapshot.
     /// Engagement of every *committed* shard is then absorbed into
     /// the global blend (in arrival order per source — exact, since
-    /// a source maps to one shard) and the blend is re-standardized
-    /// and published once.
+    /// a source maps to one shard), the blend is re-standardized, and
+    /// one view holding every shard's snapshot and the blend is
+    /// published. Readers never observe a state inside the burst, nor
+    /// shards from different bursts. Empty deltas are skipped without
+    /// burning sequences; a burst with no changes publishes nothing.
     ///
     /// Failure is per-shard, not all-or-nothing across shards: a
     /// shard whose fsync is refused retracts its own sub-batch
@@ -468,7 +529,7 @@ impl ShardedLiveService {
     }
 
     /// The shared ingest core: route, parallel per-shard commit,
-    /// blend absorption for committed shards.
+    /// blend absorption for committed shards, one view publish.
     fn commit_routed(&mut self, deltas: &[CorpusDelta]) -> Result<(), FailedCommit> {
         let mut routed: Vec<Vec<CorpusDelta>> = vec![Vec::new(); self.shards.len()];
         for delta in deltas {
@@ -486,36 +547,46 @@ impl ShardedLiveService {
             m.fanout
                 .record(routed.iter().filter(|b| !b.is_empty()).count() as u64);
         }
-        let outcomes: Vec<Result<(), LiveError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter_mut()
-                .zip(&routed)
-                .enumerate()
-                .map(|(i, (shard, batch))| {
-                    if batch.is_empty() {
-                        None
-                    } else {
-                        Some(scope.spawn(move || match metrics {
-                            Some(m) => m.time_shard_commit(i, || shard.commit(batch)),
-                            None => shard.commit(batch),
-                        }))
-                    }
-                })
-                .collect();
-            handles
-                .into_iter()
-                // lint:allow(panic): join only errs if the commit thread panicked; re-raising that panic is the designed propagation
-                .map(|h| h.map_or(Ok(()), |h| h.join().expect("shard commit thread panicked")))
-                .collect()
-        });
+        let outcomes: Vec<Result<Option<Arc<EngineSnapshot>>, LiveError>> =
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = self
+                    .shards
+                    .iter_mut()
+                    .zip(&routed)
+                    .enumerate()
+                    .map(|(i, (shard, batch))| {
+                        if batch.is_empty() {
+                            None
+                        } else {
+                            Some(scope.spawn(move || match metrics {
+                                Some(m) => m.time_shard_commit(i, || shard.commit(batch, metrics)),
+                                None => shard.commit(batch, None),
+                            }))
+                        }
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| match h {
+                        None => Ok(None),
+                        // lint:allow(panic): join only errs if the commit thread panicked; re-raising that panic is the designed propagation
+                        Some(h) => h.join().expect("shard commit thread panicked"),
+                    })
+                    .collect()
+            });
 
+        let current = self.view.load();
+        let mut snapshots = current.snapshots.clone();
+        let mut retired = Vec::new();
         let mut failed: Option<(usize, LiveError)> = None;
         let mut refused_sources: Vec<SourceId> = Vec::new();
         let mut blend_touched = false;
         for (shard, outcome) in outcomes.into_iter().enumerate() {
             match outcome {
-                Ok(()) => {
+                Ok(published) => {
+                    if let Some(snapshot) = published {
+                        retired.push(std::mem::replace(&mut snapshots[shard], snapshot));
+                    }
                     for sub in &routed[shard] {
                         blend_touched |= self.blend.apply_engagement(&sub.engagement);
                     }
@@ -531,9 +602,24 @@ impl ShardedLiveService {
                 }
             }
         }
-        if blend_touched {
-            self.blend.reblend();
-            self.blend_cell.publish(Arc::new(self.blend.clone()));
+        if !retired.is_empty() {
+            let blend = if blend_touched {
+                self.blend.reblend();
+                Arc::new(self.blend.clone())
+            } else {
+                Arc::clone(&current.blend)
+            };
+            self.view
+                .publish(Arc::new(PinnedShards::new(snapshots, blend)));
+            drop(current);
+            // Unless a reader still pins the old view, this frees each
+            // replaced shard index; free them in parallel, as the
+            // commits that replaced them ran.
+            std::thread::scope(|scope| {
+                for snapshot in retired {
+                    scope.spawn(move || drop(snapshot));
+                }
+            });
         }
         match failed {
             None => Ok(()),
@@ -549,19 +635,21 @@ impl ShardedLiveService {
         }
     }
 
-    /// One sweep tick over every registered service, the sharded
-    /// analogue of
-    /// [`LiveService::tick_sweep`](crate::LiveService::tick_sweep):
-    /// crawl each source since its high-water mark, route the burst
-    /// and commit every shard's slice in parallel.
+    /// One sweep tick over every registered service: crawl each
+    /// source since its high-water mark
+    /// ([`Crawler::crawl_sweep`], fanned across
+    /// `CrawlerConfig::workers` threads and joined back in service
+    /// order, so the burst is byte-identical to a sequential crawl),
+    /// route the burst and commit every shard's slice in parallel.
     ///
     /// Failure rollback is **per shard**: if some shards refuse
     /// their slice, only the sources routed to those shards get
     /// their marks rolled back to the pre-sweep readings
     /// ([`HighWaterMarks::rollback_many`]) — sources whose shard
     /// committed keep their advanced marks, because their content
-    /// *is* durable. A crawl-layer failure behaves as in the
-    /// unsharded sweep (the crawler restores the marks itself).
+    /// *is* durable. With one shard that is every participating
+    /// source. A crawl-layer failure advances no mark (the crawler
+    /// restores the marks itself) and journals nothing.
     pub fn tick_sweep(
         &mut self,
         crawler: &Crawler,
@@ -583,13 +671,11 @@ impl ShardedLiveService {
         }
     }
 
-    /// A scatter-gather reader over every shard's snapshot store and
-    /// the global blend. Cloneable, `Send`, never blocks on an
-    /// in-flight commit.
+    /// A scatter-gather reader over the published view. Cloneable,
+    /// `Send`, never blocks on an in-flight commit.
     pub fn reader(&self) -> ShardedReader {
         ShardedReader {
-            readers: self.shards.iter().map(|s| s.writer.reader()).collect(),
-            blend: Arc::clone(&self.blend_cell),
+            view: Arc::clone(&self.view),
             metrics: self.metrics.as_ref().map(|m| m.search().clone()),
             cache: self.query_cache.clone(),
         }
@@ -600,8 +686,8 @@ impl ShardedLiveService {
         self.shards.len()
     }
 
-    /// Per-shard sequence of the last applied delta (0 before the
-    /// first), in shard order.
+    /// Per-shard sequence of the last committed delta (0 before the
+    /// first), in shard order — the sequences of the published view.
     pub fn seqs(&self) -> Vec<u64> {
         self.shards.iter().map(|s| s.writer.seq()).collect()
     }
@@ -642,65 +728,36 @@ impl ShardedLiveService {
 
 /// A cloneable reader handle fanning queries across every shard.
 ///
-/// Each query takes one snapshot per shard plus the current global
-/// blend, then runs the scatter-gather plan
-/// ([`obs_search::scatter_query`]) entirely outside any lock. Shard
-/// snapshots are acquired independently, so a reader racing a
-/// commit may see some shards one burst newer than others — the
-/// cross-shard analogue of snapshot staleness, bounded by one burst.
+/// Each query pins the current published view — one `Arc` clone —
+/// then runs the scatter-gather plan ([`obs_search::scatter_query`])
+/// entirely outside any lock. A view is one whole routed commit, so
+/// a reader racing commits sees every shard and the blend at the
+/// same commit.
 #[derive(Debug, Clone)]
 pub struct ShardedReader {
-    readers: Vec<SnapshotReader>,
-    blend: Arc<BlendCell>,
+    view: Arc<SnapshotStore<PinnedShards>>,
     /// Query-path instruments inherited from the service's
     /// [`ShardMetrics`]; the timing itself lives behind
     /// [`SearchMetrics`] so this `lint:deterministic` module stays
     /// clock-free.
     metrics: Option<SearchMetrics>,
-    /// Snapshot-keyed result cache inherited from
+    /// Epoch-keyed result cache inherited from
     /// [`ShardedLiveService::with_query_cache`]; `None` means every
     /// query runs the scatter plan.
     cache: Option<Arc<QueryCache>>,
 }
 
-/// One consistent view of the serving state: a snapshot `Arc` per
-/// shard plus the global blend `Arc`, pinned together at one instant
-/// by [`ShardedReader::pin`].
-///
-/// Everything downstream of a pin — the scatter plan, the cache key,
-/// the cache-transparency contract — is a pure function of this
-/// struct, so a caller holding one can compare cached and uncached
-/// evaluations of the *same* epochs even while commits race ahead.
-#[derive(Debug, Clone)]
-pub struct PinnedShards {
-    snapshots: Vec<Arc<EngineSnapshot>>,
-    blend: Arc<StaticBlend>,
-}
-
-impl PinnedShards {
-    /// Per-shard snapshot sequences, in shard order.
-    pub fn seqs(&self) -> Vec<u64> {
-        self.snapshots.iter().map(|s| s.seq()).collect()
-    }
-}
-
 impl ShardedReader {
-    /// Pins the current epoch set: one snapshot per shard plus the
-    /// current global blend, each acquired under its store's
-    /// one-clone lock. Snapshots are acquired independently, so a
-    /// pin racing a commit may see some shards one burst newer than
-    /// others — the documented cross-shard staleness bound.
-    pub fn pin(&self) -> PinnedShards {
-        PinnedShards {
-            snapshots: self.readers.iter().map(|r| r.snapshot()).collect(),
-            blend: self.blend.load(),
-        }
+    /// Pins the current published view: every shard's snapshot and
+    /// the global blend of one routed commit, as one `Arc` clone.
+    pub fn pin(&self) -> Arc<PinnedShards> {
+        self.view.load()
     }
 
     /// Evaluates a query across all shards, returning the top `k`
     /// sources — bit-identical to an unsharded engine holding the
     /// same documents (term normalization, scoring and tie-breaking
-    /// included). Pins the current epochs and delegates to
+    /// included). Pins the current view and delegates to
     /// [`ShardedReader::query_pinned`], so a cached reader consults
     /// the cache under the pinned key.
     pub fn query<S: AsRef<str>>(&self, terms: &[S], k: usize) -> Vec<SearchHit> {
@@ -710,7 +767,7 @@ impl ShardedReader {
 
     /// Evaluates a query against an explicit pinned view. With a
     /// cache attached, the result is served from (or filled into)
-    /// the entry keyed by exactly these snapshot epochs — by the
+    /// the entry keyed by exactly this view's epoch — by the
     /// cache-transparency invariant it is bit-identical to
     /// [`ShardedReader::query_uncached`] on the same pin.
     pub fn query_pinned<S: AsRef<str>>(
@@ -720,11 +777,9 @@ impl ShardedReader {
         k: usize,
     ) -> Vec<SearchHit> {
         match &self.cache {
-            Some(cache) => {
-                cache.query_or_compute(&pinned.snapshots, &pinned.blend, terms, k, |normalized| {
-                    self.run_plan(pinned, normalized, k)
-                })
-            }
+            Some(cache) => cache.query_or_compute(pinned.epoch, terms, k, |normalized| {
+                self.run_plan(pinned, normalized, k)
+            }),
             None => self.run_plan(pinned, terms, k),
         }
     }
@@ -767,30 +822,27 @@ impl ShardedReader {
         }
     }
 
-    /// Per-shard snapshot sequences, in shard order.
+    /// Per-shard snapshot sequences of the current view, in shard
+    /// order.
     pub fn seqs(&self) -> Vec<u64> {
-        self.readers.iter().map(|r| r.snapshot().seq()).collect()
+        self.pin().seqs()
     }
 
-    /// Total documents across the current shard snapshots.
+    /// Total documents across the current view's shard snapshots.
     pub fn doc_count(&self) -> usize {
-        self.readers
-            .iter()
-            .map(|r| r.snapshot().engine().doc_count())
-            .sum()
+        self.pin().doc_count()
     }
 
-    /// The current global static score of a source (diagnostics and
-    /// equivalence tests).
+    /// The current view's global static score of a source
+    /// (diagnostics and equivalence tests).
     pub fn static_score(&self, source: SourceId) -> f64 {
-        self.blend.load().score(source)
+        self.pin().static_score(source)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::LiveService;
     use obs_analytics::{AlexaPanel, LinkGraph};
     use obs_search::BlendWeights;
     use obs_synth::{World, WorldConfig};
@@ -892,38 +944,68 @@ mod tests {
     }
 
     #[test]
-    fn sharded_service_matches_unsharded_service() {
+    fn sharded_service_matches_unsharded_engine() {
         let (world, engine) = world_and_engine(601);
         let seed = empty_seed(&world, &engine);
         let stream = delta_stream(&world, 7);
         let probe: Vec<String> = vec!["duomo".into(), "rooftop".into(), "castle".into()];
 
-        let path = temp_dir("unsharded").join("single.journal");
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        let mut unsharded = LiveService::start(seed.clone(), &path).unwrap();
+        let mut unsharded = seed.clone();
         let dir = temp_dir("sharded");
         let mut sharded = ShardedLiveService::start(&seed, 3, &dir).unwrap();
 
         for batch in stream.chunks(4) {
-            unsharded.ingest_batch(batch).unwrap();
+            unsharded.apply_deltas(batch.iter());
             sharded.ingest_batch(batch).unwrap();
         }
         assert_eq!(sharded.doc_count(), unsharded.doc_count());
         assert_eq!(sharded.doc_count(), engine.doc_count());
 
         let reader = sharded.reader();
-        let unsharded_engine = unsharded.reader().snapshot();
-        assert_eq!(
-            reader.query(&probe, 50),
-            unsharded_engine.engine().query(&probe, 50)
-        );
+        assert_eq!(reader.query(&probe, 50), unsharded.query(&probe, 50));
         for s in world.corpus.sources() {
-            assert_eq!(
-                reader.static_score(s.id),
-                unsharded_engine.engine().static_score(s.id)
-            );
+            assert_eq!(reader.static_score(s.id), unsharded.static_score(s.id));
         }
-        cleanup(path.parent().unwrap());
+        cleanup(&dir);
+    }
+
+    #[test]
+    fn empty_bursts_journal_and_publish_nothing() {
+        let (world, engine) = world_and_engine(607);
+        let seed = empty_seed(&world, &engine);
+        let stream = delta_stream(&world, 5);
+        let dir = temp_dir("empty_bursts");
+        let mut service = ShardedLiveService::start(&seed, 2, &dir).unwrap();
+        let sparse = vec![
+            CorpusDelta::new(),
+            stream[0].clone(),
+            CorpusDelta::new(),
+            stream[1].clone(),
+        ];
+        service.ingest_batch(&sparse).unwrap();
+        let seqs = service.seqs();
+        // Empty deltas burn no sequence: only the two real deltas
+        // were journaled, spread over the shards they route to.
+        let journaled: usize = (0..2).map(|i| service.journal_len(i)).sum();
+        assert_eq!(journaled as u64, seqs.iter().sum::<u64>());
+        assert!(journaled <= 4);
+
+        let reader = service.reader();
+        let pinned = reader.pin();
+        let journals: Vec<Vec<u8>> = (0..2)
+            .map(|i| std::fs::read(ShardedLiveService::shard_journal_path(&dir, i)).unwrap())
+            .collect();
+        service
+            .ingest_batch(&[CorpusDelta::new(), CorpusDelta::new()])
+            .unwrap();
+        service.ingest(&CorpusDelta::new()).unwrap();
+        assert_eq!(service.seqs(), seqs);
+        for (i, bytes) in journals.iter().enumerate() {
+            let path = ShardedLiveService::shard_journal_path(&dir, i);
+            assert_eq!(&std::fs::read(path).unwrap(), bytes);
+        }
+        // Not even a republish: the served view is the same Arc.
+        assert!(Arc::ptr_eq(&pinned, &reader.pin()));
         cleanup(&dir);
     }
 
@@ -968,6 +1050,13 @@ mod tests {
         assert!(text.contains("live_shard_commit_ns_count{shard=\"0\"}"));
         assert!(text.contains("live_commit_fanout_shards_count"));
         assert!(text.contains("search_query_ns_count 2"));
+        // Every shard commit recorded each stage once and its group
+        // size.
+        for stage in ["journal_fsync", "apply", "publish"] {
+            let series = format!("live_ingest_stage_ns_count{{stage=\"{stage}\"}} {committed}");
+            assert!(text.contains(&series), "missing {series}");
+        }
+        assert!(text.contains(&format!("live_ingest_batch_deltas_count {committed}")));
 
         // A per-shard fsync failure lands in that shard's failure
         // column; the probe delta targets a source homed on shard 0.
@@ -981,30 +1070,34 @@ mod tests {
         assert!(service.ingest_batch(&[probe_delta]).is_err());
         let counts = metrics.commit_counts();
         assert_eq!(counts[0].2, 1, "shard 0 failure not recorded: {counts:?}");
+        assert!(registry
+            .render_text()
+            .contains("live_journal_retractions_total 1"));
         cleanup(&dir);
     }
 
     #[test]
-    fn one_shard_journals_byte_identically_to_the_unsharded_service() {
+    fn one_shard_journals_byte_identically_to_a_bare_journal() {
         let (world, engine) = world_and_engine(602);
         let seed = empty_seed(&world, &engine);
         let stream = delta_stream(&world, 5);
 
-        let path = temp_dir("bytes_unsharded").join("single.journal");
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        let mut unsharded = LiveService::start(seed.clone(), &path).unwrap();
-        let dir = temp_dir("bytes_sharded");
+        let base = temp_dir("bytes");
+        let bare_path = base.join("bare.journal");
+        std::fs::create_dir_all(&base).unwrap();
+        let mut bare = DeltaJournal::create(&bare_path).unwrap();
+        let dir = base.join("sharded");
         let mut sharded = ShardedLiveService::start(&seed, 1, &dir).unwrap();
 
         for batch in stream.chunks(3) {
-            unsharded.ingest_batch(batch).unwrap();
+            let refs: Vec<&CorpusDelta> = batch.iter().collect();
+            bare.append_batch(&refs).unwrap();
             sharded.ingest_batch(batch).unwrap();
         }
-        let single = std::fs::read(&path).unwrap();
+        let single = std::fs::read(&bare_path).unwrap();
         let shard0 = std::fs::read(ShardedLiveService::shard_journal_path(&dir, 0)).unwrap();
         assert_eq!(single, shard0, "1-shard journal must be byte-identical");
-        cleanup(path.parent().unwrap());
-        cleanup(&dir);
+        cleanup(&base);
     }
 
     #[test]
@@ -1133,6 +1226,35 @@ mod tests {
         let docs = service.doc_count();
         service.ingest(&removal).unwrap();
         assert_eq!(service.doc_count(), docs - 1);
+        cleanup(&dir);
+    }
+
+    #[test]
+    fn journal_compacted_past_the_seed_is_a_gap_on_recovery() {
+        let (world, engine) = world_and_engine(609);
+        let seed = empty_seed(&world, &engine);
+        let stream = delta_stream(&world, 6);
+        let dir = temp_dir("gap");
+        {
+            let mut doomed = ShardedLiveService::start(&seed, 1, &dir).unwrap();
+            doomed.ingest_batch(&stream[..3]).unwrap();
+        }
+        // Drop records 1..=2 with nothing outside the journal
+        // covering them: the seed cannot bridge to record 3.
+        let path = ShardedLiveService::shard_journal_path(&dir, 0);
+        let (mut journal, _) = DeltaJournal::open(&path).unwrap();
+        journal.compact_through(2).unwrap();
+        drop(journal);
+        match ShardedLiveService::recover(&seed, 1, &dir).unwrap_err() {
+            LiveError::CheckpointGap {
+                checkpoint_seq,
+                journal_first_seq,
+            } => {
+                assert_eq!(checkpoint_seq, 0);
+                assert_eq!(journal_first_seq, 3);
+            }
+            other => panic!("expected CheckpointGap, got {other:?}"),
+        }
         cleanup(&dir);
     }
 

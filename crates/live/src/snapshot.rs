@@ -54,22 +54,25 @@ impl EngineSnapshot {
     }
 }
 
-/// The swap point between one writer and many readers.
+/// The swap point between one writer and many readers: the current
+/// `Arc<T>` behind a lock held for one clone or one pointer swap.
+/// Engine snapshots use it directly; the sharded service publishes
+/// its whole cross-shard view through one.
 #[derive(Debug)]
-pub struct SnapshotStore {
-    current: RwLock<Arc<EngineSnapshot>>,
+pub struct SnapshotStore<T = EngineSnapshot> {
+    current: RwLock<Arc<T>>,
 }
 
-impl SnapshotStore {
+impl<T> SnapshotStore<T> {
     /// Creates a store serving `initial` until the first publish.
-    pub fn new(initial: EngineSnapshot) -> SnapshotStore {
+    pub fn new(initial: T) -> SnapshotStore<T> {
         SnapshotStore {
             current: RwLock::new(Arc::new(initial)),
         }
     }
 
-    /// The current snapshot. Lock-held time is one `Arc` clone.
-    pub fn load(&self) -> Arc<EngineSnapshot> {
+    /// The current value. Lock-held time is one `Arc` clone.
+    pub fn load(&self) -> Arc<T> {
         // A poisoned lock only means a reader panicked mid-clone;
         // the guarded Arc itself is always intact.
         match self.current.read() {
@@ -78,11 +81,11 @@ impl SnapshotStore {
         }
     }
 
-    /// Swaps in a new snapshot. Lock-held time is one pointer swap.
-    fn publish(&self, snapshot: Arc<EngineSnapshot>) {
+    /// Swaps in a new value. Lock-held time is one pointer swap.
+    pub(crate) fn publish(&self, value: Arc<T>) {
         match self.current.write() {
-            Ok(mut guard) => *guard = snapshot,
-            Err(poisoned) => *poisoned.into_inner() = snapshot,
+            Ok(mut guard) => *guard = value,
+            Err(poisoned) => *poisoned.into_inner() = value,
         }
     }
 }
@@ -179,11 +182,13 @@ impl LiveWriter {
         self.seq = first_seq + deltas.len() as u64 - 1;
     }
 
-    /// Publishes the current engine state. Readers acquiring
-    /// snapshots from now on see every delta applied so far.
-    pub fn publish(&self) {
-        self.store
-            .publish(Arc::new(EngineSnapshot::new(self.seq, self.engine.clone())));
+    /// Publishes the current engine state and returns the published
+    /// snapshot. Readers acquiring snapshots from now on see every
+    /// delta applied so far.
+    pub fn publish(&self) -> Arc<EngineSnapshot> {
+        let snapshot = Arc::new(EngineSnapshot::new(self.seq, self.engine.clone()));
+        self.store.publish(Arc::clone(&snapshot));
+        snapshot
     }
 
     /// Sequence of the last applied (not necessarily published) delta.

@@ -2,18 +2,18 @@
 //! `ingest_batch` through a cached [`ShardedReader`] never observe a
 //! stale hit.
 //!
-//! The contract under test is the one the snapshot-keyed
+//! The contract under test is the one the epoch-keyed
 //! [`QueryCache`](obs_live::QueryCache) is built on: a cache entry is
-//! keyed by the exact snapshot `Arc`s (one per shard, plus the global
-//! blend) that produced it, so a hit can only ever be served to a
-//! reader *holding those same epochs*. The test makes the contract
-//! observable — each reader iteration pins a view, asks the cached
-//! path and the uncached oracle for the same query **on that pin**,
-//! and demands bit-identical rankings — while a writer publishes new
-//! epochs underneath it as fast as it can. A cache that survived an
-//! epoch swap (or leaked an entry across blend re-publication) would
-//! hand a reader a ranking from documents its pinned snapshots don't
-//! hold, and the oracle comparison would fail.
+//! keyed by the epoch of the exact published view (every shard's
+//! snapshot plus the global blend) that produced it, so a hit can
+//! only ever be served to a reader *holding that same view*. The test
+//! makes the contract observable — each reader iteration pins a view,
+//! asks the cached path and the uncached oracle for the same query
+//! **on that pin**, and demands bit-identical rankings — while a
+//! writer publishes new views underneath it as fast as it can. A
+//! cache that survived a view swap (or leaked an entry across blend
+//! re-publication) would hand a reader a ranking from documents its
+//! pinned view doesn't hold, and the oracle comparison would fail.
 //!
 //! Determinism discipline matches `live_concurrency.rs`: the thread
 //! interleaving is free, the assertions are not. Run under
@@ -104,7 +104,7 @@ fn racing_readers_never_observe_a_stale_cache_hit() {
                         cached,
                         oracle,
                         "reader {t} iteration {iterations}: cached ranking diverged \
-                         from a fresh query over the same pinned epochs {:?}",
+                         from a fresh query over the same pinned view {:?}",
                         pinned.seqs()
                     );
                     iterations += 1;
@@ -155,7 +155,7 @@ fn epoch_publication_invalidates_without_explicit_flush() {
     let mut last = None;
     for batch in stream.chunks(3) {
         service.ingest_batch(batch).unwrap();
-        // Same terms, same k — but fresh epochs, so the cached path
+        // Same terms, same k — but a fresh view, so the cached path
         // must recompute and track the growing corpus.
         let pinned = reader.pin();
         let hits = reader.query_pinned(&pinned, &probe, 30);

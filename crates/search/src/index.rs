@@ -18,6 +18,7 @@
 use crate::token::tokenize;
 use obs_model::{document_text, Corpus, CorpusDelta, PostId, SourceId};
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// A posting: document and term frequency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,14 +77,16 @@ pub struct InvertedIndex {
     doc_len: HashMap<PostId, u32>,
     doc_source: HashMap<PostId, SourceId>,
     /// Forward index: the distinct terms of each live document, so a
-    /// removal knows exactly which posting lists it dirties.
-    doc_terms: HashMap<PostId, Vec<String>>,
+    /// removal knows exactly which posting lists it dirties. Shared
+    /// (`Arc`), so the copy-on-write clone a writer takes of a
+    /// published index copies one pointer per document, not its terms.
+    doc_terms: HashMap<PostId, Arc<[String]>>,
     total_len: u64,
     /// Documents removed but not yet swept from their posting lists,
     /// keyed to the terms awaiting compaction. Only ever non-empty
     /// while an [`IndexWriter`](crate::writer::IndexWriter) holds the
     /// index mutably, so readers never observe a stale posting.
-    tombstones: HashMap<PostId, Vec<String>>,
+    tombstones: HashMap<PostId, Arc<[String]>>,
     /// Compaction generation, bumped once per sweep.
     generation: u64,
 }
@@ -129,7 +132,7 @@ impl InvertedIndex {
                 .insert_sorted(doc, freq);
             terms.push(term);
         }
-        self.doc_terms.insert(doc, terms);
+        self.doc_terms.insert(doc, terms.into());
     }
 
     /// Removes one document, sweeping its postings immediately.
@@ -160,7 +163,7 @@ impl InvertedIndex {
         };
         self.total_len -= len as u64;
         self.doc_source.remove(&doc);
-        let terms = self.doc_terms.remove(&doc).unwrap_or_default();
+        let terms = self.doc_terms.remove(&doc).unwrap_or_else(|| Arc::from([]));
         self.tombstones.insert(doc, terms);
         true
     }
@@ -177,7 +180,7 @@ impl InvertedIndex {
         let tombstones = std::mem::take(&mut self.tombstones);
         let swept = tombstones.len();
         let mut emptied: Vec<&String> = Vec::new();
-        for term in tombstones.values().flatten() {
+        for term in tombstones.values().flat_map(|terms| terms.iter()) {
             if let Some(list) = self.postings.get_mut(term) {
                 if list.clean_gen < gen {
                     list.entries.retain(|p| !tombstones.contains_key(&p.doc));
@@ -202,7 +205,7 @@ impl InvertedIndex {
         let Some(terms) = self.tombstones.remove(&doc) else {
             return;
         };
-        for term in &terms {
+        for term in terms.iter() {
             if let Some(list) = self.postings.get_mut(term) {
                 list.entries.retain(|p| p.doc != doc);
                 list.refresh_max();

@@ -3,7 +3,7 @@
 //! Text format (one sample per line, stable order):
 //!
 //! ```text
-//! live_commits_total 42
+//! live_journal_retractions_total 42
 //! live_shard_commit_ns{shard="0",quantile="0.5"} 18432
 //! live_shard_commit_ns{shard="0",quantile="0.9"} 24576
 //! live_shard_commit_ns{shard="0",quantile="0.99"} 30720

@@ -2,14 +2,15 @@
 //! scatter-gather query plan, with per-shard crash recovery.
 //!
 //! The demo builds an engine for the whole corpus, then replays the
-//! same content into two topologies side by side: an unsharded
-//! [`LiveService`] and a four-shard [`ShardedLiveService`] (hash of
-//! the source id picks the shard; each shard owns its own journal,
-//! writer and snapshot store, and the routed sub-batches of a burst
-//! commit in parallel under per-shard group commits). Queries fan
-//! out over every shard, gather exact global statistics, and merge
-//! the per-shard top-k — the demo asserts the merged rankings are
-//! **bit-identical** to the unsharded engine's, not merely close.
+//! same content into two topologies side by side: a single unsharded
+//! [`SearchEngine`] and a four-shard [`ShardedLiveService`] (hash of
+//! the source id picks the shard; each shard owns its own journal
+//! and writer, the routed sub-batches of a burst commit in parallel
+//! under per-shard group commits, and each burst publishes one view
+//! of all four shards). Queries fan out over every shard, gather
+//! exact global statistics, and merge the per-shard top-k — the demo
+//! asserts the merged rankings are **bit-identical** to the
+//! unsharded engine's, not merely close.
 //!
 //! Then the sharded service is dropped mid-flight — a crash — and
 //! rebuilt with [`ShardedLiveService::recover`]: every shard replays
@@ -21,7 +22,7 @@
 //! ([`ShardMetrics`]): every routed burst records its fan-out width
 //! and per-shard commit latency/outcome, and every scatter-gather
 //! query records its gather, per-shard scoring and whole-plan
-//! timings. A snapshot-keyed [`QueryCache`] rides along with its own
+//! timings. An epoch-keyed [`QueryCache`] rides along with its own
 //! hit/miss/fill/eviction counters — the demo repeats a query so the
 //! hit path shows up in the exposition. The demo ends with the
 //! registry's text exposition.
@@ -31,9 +32,7 @@
 //! ```
 
 use informing_observers::analytics::{AlexaPanel, LinkGraph};
-use informing_observers::live::{
-    CacheMetrics, LiveService, QueryCache, ShardMetrics, ShardedLiveService,
-};
+use informing_observers::live::{CacheMetrics, QueryCache, ShardMetrics, ShardedLiveService};
 use informing_observers::model::{CorpusDelta, PostId};
 use informing_observers::search::{BlendWeights, SearchEngine};
 use informing_observers::synth::{World, WorldConfig};
@@ -64,15 +63,13 @@ fn main() {
         SHARDS
     );
 
-    let base = std::env::temp_dir().join(format!("sharded_live_example_{}", std::process::id()));
-    std::fs::create_dir_all(&base).unwrap();
-    let flat_path = base.join("flat.journal");
-    let shard_dir = base.join("shards");
+    let shard_dir =
+        std::env::temp_dir().join(format!("sharded_live_example_{}", std::process::id()));
 
     let registry = Registry::new();
     let metrics = ShardMetrics::new(&registry, SHARDS);
     let cache_metrics = CacheMetrics::new(&registry);
-    let mut flat = LiveService::start(seed.clone(), &flat_path).unwrap();
+    let mut flat = seed.clone();
     let mut sharded = ShardedLiveService::start(&seed, SHARDS, &shard_dir)
         .unwrap()
         .with_metrics(metrics.clone())
@@ -87,7 +84,7 @@ fn main() {
         .map(|chunk| CorpusDelta::for_posts(&world.corpus, chunk).unwrap())
         .collect();
     for burst in deltas.chunks(16) {
-        flat.ingest_batch(burst).unwrap();
+        flat.apply_deltas(burst.iter());
         sharded.ingest_batch(burst).unwrap();
     }
     let per_shard: Vec<usize> = (0..SHARDS)
@@ -96,12 +93,12 @@ fn main() {
     println!(
         "ingested: sharded doc counts per shard {per_shard:?} (total {}), unsharded {}",
         sharded.doc_count(),
-        flat.reader().snapshot().engine().doc_count()
+        flat.doc_count()
     );
 
     // Scatter-gather vs single index: bit-identical rankings. The
-    // first ask fills the snapshot-keyed query cache, the second is
-    // served from it — same epochs, same entry, same bits.
+    // first ask fills the epoch-keyed query cache, the second is
+    // served from it — same view, same entry, same bits.
     let probe: Vec<String> = vec!["museum".into(), "festival".into(), "market".into()];
     let reader = sharded.reader();
     let sharded_hits = reader.query(&probe, 10);
@@ -111,8 +108,7 @@ fn main() {
         1,
         "the repeat ask must be a cache hit"
     );
-    let flat_snapshot = flat.reader().snapshot();
-    let flat_hits = flat_snapshot.engine().query(&probe, 10);
+    let flat_hits = flat.query(&probe, 10);
     assert_eq!(
         sharded_hits, flat_hits,
         "scatter-gather must reproduce the unsharded ranking bit for bit"
@@ -156,5 +152,5 @@ fn main() {
         println!("{line}");
     }
 
-    std::fs::remove_dir_all(&base).ok();
+    std::fs::remove_dir_all(&shard_dir).ok();
 }
