@@ -11,9 +11,10 @@
 //!
 //! * `seq` — contiguous, 1-based sequence number; replay refuses a
 //!   log with a gap or regression (that's corruption, not a crash);
-//! * `crc32` — IEEE CRC-32 of the JSON bytes, so a bit-flipped or
-//!   truncated record is detected rather than deserialized into
-//!   garbage;
+//! * `crc32` — IEEE CRC-32 of the line without its checksum field
+//!   (`<seq> <delta-json>`), so a bit-flipped or truncated record is
+//!   detected rather than deserialized into garbage — sequence
+//!   number included;
 //! * `delta-json` — the delta through the in-tree serde_json shim.
 //!
 //! **Torn-tail tolerance:** a crash mid-append leaves at most one
@@ -101,12 +102,16 @@ impl JournalReplay {
     }
 }
 
-/// IEEE CRC-32 (the polynomial every zip/png reader uses),
-/// bit-reflected, table-free — journal records are small and append
-/// throughput is bounded by fsync, not the checksum.
-fn crc32(bytes: &[u8]) -> u32 {
+/// A record's checksum: IEEE CRC-32 (the polynomial every zip/png
+/// reader uses) of `<seq> <json>` — the line minus its checksum
+/// field — bit-reflected, table-free: journal records are small and
+/// append throughput is bounded by fsync, not the checksum.
+fn record_crc(seq: &str, json: &str) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
+    for &b in [seq.as_bytes(), b" ", json.as_bytes()]
+        .into_iter()
+        .flatten()
+    {
         crc ^= u32::from(b);
         for _ in 0..8 {
             let mask = (crc & 1).wrapping_neg();
@@ -125,7 +130,7 @@ fn parse_record(line: &str) -> Result<SequencedDelta, String> {
         .map_err(|_| format!("bad sequence number {seq_text:?}"))?;
     let stored_crc =
         u32::from_str_radix(crc_text, 16).map_err(|_| format!("bad crc field {crc_text:?}"))?;
-    let actual_crc = crc32(json.as_bytes());
+    let actual_crc = record_crc(seq_text, json);
     if stored_crc != actual_crc {
         return Err(format!(
             "crc mismatch: stored {stored_crc:08x}, computed {actual_crc:08x}"
@@ -228,6 +233,15 @@ impl DeltaJournal {
             }
             Err(e) => return Err(e),
         };
+        // A record stamped `u64::MAX` leaves no sequence to append
+        // under; refuse it rather than wrap the stream back to 0.
+        let next_seq = replay
+            .last_seq()
+            .checked_add(1)
+            .ok_or_else(|| JournalError::Corrupt {
+                record: replay.records.len(),
+                reason: "sequence space exhausted: the last record is u64::MAX".to_owned(),
+            })?;
         if replay.torn_tail_dropped {
             // Heal by truncating to the end of the last intact
             // record: O(1), and the durable prefix keeps its exact
@@ -244,7 +258,7 @@ impl DeltaJournal {
             DeltaJournal {
                 path,
                 file,
-                next_seq: replay.last_seq() + 1,
+                next_seq,
                 len: replay.records.len(),
                 staged: None,
                 sync_faults: 0,
@@ -281,21 +295,21 @@ impl DeltaJournal {
                 .and_then(parse_record);
             match parsed {
                 Ok(record) => {
-                    let expected = replay.records.last().map(|r| r.seq + 1);
+                    // Checked: nothing follows a record stamped u64::MAX.
+                    let out_of_sequence = replay
+                        .records
+                        .last()
+                        .filter(|prev| prev.seq.checked_add(1) != Some(record.seq));
                     if !complete {
                         // A record without its newline is a torn
                         // append even if its payload happens to
                         // verify — the trailing newline is part of
                         // the durable format.
                         replay.torn_tail_dropped = true;
-                    } else if expected.is_some_and(|e| record.seq != e) {
+                    } else if let Some(prev) = out_of_sequence {
                         return Err(JournalError::Corrupt {
                             record: record_no,
-                            reason: format!(
-                                "sequence gap: expected {}, found {}",
-                                expected.unwrap_or(1),
-                                record.seq
-                            ),
+                            reason: format!("sequence gap: {} follows {}", record.seq, prev.seq),
                         });
                     } else {
                         replay.records.push(record);
@@ -321,7 +335,8 @@ impl DeltaJournal {
     fn render_record(seq: u64, delta: &CorpusDelta) -> Result<String, JournalError> {
         let json = serde_json::to_string(delta)
             .map_err(|e| std::io::Error::other(format!("delta serialization failed: {e}")))?;
-        let crc = crc32(json.as_bytes());
+        let seq = seq.to_string();
+        let crc = record_crc(&seq, &json);
         Ok(format!("{seq} {crc:08x} {json}\n"))
     }
 
@@ -546,11 +561,7 @@ impl DeltaJournal {
                 .open(&tmp)?;
             let mut out = BufWriter::new(file);
             for record in records {
-                let json = serde_json::to_string(&record.delta).map_err(|e| {
-                    std::io::Error::other(format!("delta serialization failed: {e}"))
-                })?;
-                let crc = crc32(json.as_bytes());
-                writeln!(out, "{} {crc:08x} {json}", record.seq)?;
+                out.write_all(Self::render_record(record.seq, &record.delta)?.as_bytes())?;
             }
             out.flush()?;
             out.get_ref().sync_data()?;
@@ -960,6 +971,81 @@ mod tests {
         let err = DeltaJournal::replay_path(&path).unwrap_err();
         assert!(
             matches!(err, JournalError::Corrupt { record: 2, .. }),
+            "{err:?}"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Writes checksum-valid records stamped with `seqs`, which no
+    /// journal handle would ever assign.
+    fn forge(path: &Path, seqs: &[u64]) {
+        let text: String = seqs
+            .iter()
+            .map(|&seq| DeltaJournal::render_record(seq, &sample_delta(0)).unwrap())
+            .collect();
+        std::fs::write(path, text).unwrap();
+    }
+
+    #[test]
+    fn a_record_after_u64_max_is_corruption_not_an_overflow() {
+        let path = temp_path("seq_overflow");
+        // 0 is what u64::MAX + 1 wraps to: wrapping arithmetic would
+        // accept it as contiguous.
+        forge(&path, &[u64::MAX - 1, u64::MAX, 0]);
+        let err = DeltaJournal::replay_path(&path).unwrap_err();
+        assert!(
+            matches!(err, JournalError::Corrupt { record: 3, .. }),
+            "{err:?}"
+        );
+        let before = std::fs::read(&path).unwrap();
+        let err = DeltaJournal::open(&path).unwrap_err();
+        assert!(
+            matches!(err, JournalError::Corrupt { record: 3, .. }),
+            "{err:?}"
+        );
+        assert_eq!(std::fs::read(&path).unwrap(), before);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_journal_ending_at_u64_max_refuses_to_open_and_is_not_healed() {
+        let path = temp_path("seq_exhausted");
+        forge(&path, &[u64::MAX - 1, u64::MAX]);
+        // Every record is intact and contiguous, so replay succeeds;
+        // only appending after it is impossible.
+        let replay = DeltaJournal::replay_path(&path).unwrap();
+        assert_eq!(replay.last_seq(), u64::MAX);
+        // A torn tail that `open` would otherwise truncate away.
+        {
+            let mut file = OpenOptions::new().append(true).open(&path).unwrap();
+            file.write_all(b"0 0000").unwrap();
+        }
+        let before = std::fs::read(&path).unwrap();
+        let err = DeltaJournal::open(&path).unwrap_err();
+        assert!(
+            matches!(err, JournalError::Corrupt { record: 2, .. }),
+            "{err:?}"
+        );
+        assert_eq!(std::fs::read(&path).unwrap(), before);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_rewritten_sequence_number_fails_its_checksum() {
+        let path = temp_path("seq_flip");
+        forge(&path, &[1]);
+        // A lone record has no neighbour to contradict its sequence,
+        // so only the checksum can catch a damaged one.
+        let line = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, line.replacen('1', "7", 1)).unwrap();
+        let replay = DeltaJournal::replay_path(&path).unwrap();
+        assert!(replay.torn_tail_dropped);
+        assert!(replay.records.is_empty());
+        // Mid-file, the same damage is corruption.
+        std::fs::write(&path, format!("{}{line}", line.replacen('1', "7", 1))).unwrap();
+        let err = DeltaJournal::replay_path(&path).unwrap_err();
+        assert!(
+            matches!(err, JournalError::Corrupt { record: 1, .. }),
             "{err:?}"
         );
         std::fs::remove_file(&path).ok();

@@ -27,21 +27,11 @@ use crate::blend::{StaticBlend, StaticSignals};
 use crate::index::{InvertedIndex, Posting};
 use crate::pagerank::pagerank_converged;
 use crate::scatter::{scatter_query, ScatterStats, SourcePartial};
-use crate::score::{bm25_sat_ceiling, bm25_scores_with, distinct_terms, Bm25Params};
+use crate::score::{bm25_scores_with, distinct_terms, Bm25Params};
 use obs_analytics::{AlexaPanel, LinkGraph};
-use obs_model::{Corpus, CorpusDelta, PostId, SourceId};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use obs_model::{Corpus, CorpusDelta, SourceId};
+use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Relative slack applied to a document's score upper bound before
-/// comparing it with the running per-source best. The bound already
-/// dominates the exact score term-by-term (float addition and
-/// multiplication are monotone), so the slack never changes a
-/// returned score — it only makes the *skip* decision robust against
-/// any future refactor perturbing the bound's rounding, at the cost
-/// of scoring a vanishing fraction of borderline documents exactly.
-const PRUNE_SLACK: f64 = 1.0 + 1e-9;
 
 pub use crate::blend::BlendWeights;
 
@@ -208,102 +198,59 @@ impl SearchEngine {
     /// no static blend and no ordering —
     /// [`merge_partials`](crate::merge_partials) finishes the
     /// ranking.
-    /// This is the **pruned fast path**: a document-at-a-time merge
-    /// over the doc-id-sorted posting lists with max-score pruning.
-    /// Per query term it derives a score upper bound `idf ×
-    /// bm25_sat_ceiling` from the index's exact per-term max
-    /// frequency; a document whose summed bound (plus a hair of
-    /// slack) cannot beat its source's running best skips
-    /// the floating-point BM25 evaluation entirely. Every matching
-    /// document is still *counted* (the match count feeds the depth
-    /// blend term), and the exact scores that are computed accumulate
-    /// per document in ascending distinct-term order — the identical
-    /// float operations, in the identical order, as the unpruned
-    /// scorer — so the partials are bit-identical to
-    /// [`SearchEngine::partial_query_unpruned`] (proptest-pinned at
-    /// the workspace level).
+    ///
+    /// This is the serving scorer: a document-at-a-time merge over
+    /// the doc-id-sorted posting lists. The next document is the
+    /// smallest doc id under any term's cursor (a linear scan — a
+    /// query has few terms); its length normalization is computed
+    /// once, then every cursor sitting on it adds its `idf × sat` in
+    /// distinct-term order and steps past it. That is the identical
+    /// float operations, in the identical order, as the term-at-a-time
+    /// [`SearchEngine::partial_query_unpruned`], so the partials are
+    /// bit-identical to it (proptest-pinned at the workspace level).
+    /// No posting can be skipped: the depth blend term counts *every*
+    /// matching document.
     pub fn partial_query<S: AsRef<str>>(
         &self,
         terms: &[S],
         stats: &ScatterStats,
     ) -> Vec<SourcePartial> {
-        /// One distinct query term's read state: its postings, the
-        /// cursor into them, its global IDF and its score bound.
-        struct TermCursor<'a> {
-            postings: &'a [Posting],
-            next: usize,
-            w: f64,
-            ub: f64,
-        }
         let params = self.params;
         let avg_len = stats.avg_doc_length().max(1.0);
-        let mut cursors: Vec<TermCursor> = Vec::new();
-        for term in distinct_terms(terms) {
-            let postings = self.index.postings(term);
-            if postings.is_empty() {
-                continue;
-            }
-            let w = stats.idf(term);
-            let ub = w * bm25_sat_ceiling(self.index.max_term_frequency(term), params);
-            cursors.push(TermCursor {
-                postings,
-                next: 0,
-                w,
-                ub,
-            });
-        }
-        // Min-heap of (doc, cursor) frontiers. Tuple ordering pops a
-        // document's cursors in ascending distinct-term order, which
-        // is what keeps the exact accumulation order identical to the
-        // term-at-a-time scorer.
-        let mut heap: BinaryHeap<Reverse<(PostId, usize)>> = cursors
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| c.postings.first().map(|p| Reverse((p.doc, i))))
+        // Per distinct term: its not-yet-merged postings (the slice
+        // shrinks as the cursor advances) and its global IDF.
+        let mut cursors: Vec<(&[Posting], f64)> = distinct_terms(terms)
+            .into_iter()
+            .filter_map(|term| {
+                let postings = self.index.postings(term);
+                (!postings.is_empty()).then(|| (postings, stats.idf(term)))
+            })
             .collect();
         let mut best_per_source: HashMap<SourceId, (f64, u32)> = HashMap::new();
-        let mut matched: Vec<(usize, u32)> = Vec::with_capacity(cursors.len());
-        while let Some(&Reverse((doc, _))) = heap.peek() {
-            matched.clear();
-            while let Some(&Reverse((d, i))) = heap.peek() {
-                if d != doc {
-                    break;
-                }
-                heap.pop();
-                let c = &mut cursors[i];
-                matched.push((i, c.postings[c.next].tf));
-                c.next += 1;
-                if let Some(p) = c.postings.get(c.next) {
-                    heap.push(Reverse((p.doc, i)));
-                }
-            }
-            let Some(source) = self.index.source_of(doc) else {
-                continue;
-            };
-            let slot = best_per_source
-                .entry(source)
-                .or_insert((f64::NEG_INFINITY, 0));
-            slot.1 += 1;
-            let mut ub = 0.0;
-            for &(i, _) in &matched {
-                ub += cursors[i].ub;
-            }
-            if ub * PRUNE_SLACK <= slot.0 {
-                // The bound dominates the exact score term-by-term,
-                // so this document cannot raise its source's best —
-                // skip the float scoring, keep the match count.
-                continue;
-            }
-            let doc_len = self.index.doc_length(doc) as f64;
+        while let Some(doc) = cursors
+            .iter()
+            .filter_map(|(p, _)| p.first())
+            .map(|p| p.doc)
+            .min()
+        {
+            let len_norm = 1.0 - params.b + params.b * self.index.doc_length(doc) as f64 / avg_len;
             let mut score = 0.0;
-            for &(i, tf) in &matched {
-                let tf = tf as f64;
-                let len_norm = 1.0 - params.b + params.b * doc_len / avg_len;
-                let sat = tf * (params.k1 + 1.0) / (tf + params.k1 * len_norm);
-                score += cursors[i].w * sat;
+            for (postings, w) in &mut cursors {
+                if let Some((p, rest)) = postings.split_first().filter(|(p, _)| p.doc == doc) {
+                    let tf = p.tf as f64;
+                    let sat = tf * (params.k1 + 1.0) / (tf + params.k1 * len_norm);
+                    score += *w * sat;
+                    *postings = rest;
+                }
             }
-            if score > slot.0 {
-                slot.0 = score;
+            if let Some(source) = self.index.source_of(doc) {
+                let slot = best_per_source
+                    .entry(source)
+                    .or_insert((f64::NEG_INFINITY, 0));
+                if score > slot.0 {
+                    slot.0 = score;
+                }
+                slot.1 += 1;
             }
         }
         best_per_source
@@ -316,12 +263,14 @@ impl SearchEngine {
             .collect()
     }
 
-    /// The reference unpruned scorer: full term-at-a-time BM25 over
-    /// every posting ([`bm25_scores_with`]), then per-source
-    /// aggregation. Kept callable so the pruned fast path always has
+    /// The reference scorer: full term-at-a-time BM25 over every
+    /// posting ([`bm25_scores_with`], one hash-map entry per matching
+    /// document), then per-source aggregation. Kept callable so the
+    /// document-at-a-time [`SearchEngine::partial_query`] always has
     /// an oracle — the facade proptest
-    /// `pruned_query_equals_unpruned_query` and the QPS benchmark's
-    /// baseline lane run queries through exactly this body.
+    /// `pruned_query_equals_unpruned_query` and the serving
+    /// benchmark's oracle checks run queries through exactly this
+    /// body.
     pub fn partial_query_unpruned<S: AsRef<str>>(
         &self,
         terms: &[S],
@@ -673,11 +622,12 @@ mod tests {
 
     #[test]
     fn pruned_partial_matches_unpruned_on_random_corpora() {
-        // The pruned DAAT path must produce bit-identical partials to
-        // the exhaustive scorer — best scores (to the bit) and match
-        // counts — across worlds and a whole query workload. The
-        // facade proptest widens this to sharded topologies; this is
-        // the in-crate fast check.
+        // The document-at-a-time merge must produce bit-identical
+        // partials to the term-at-a-time reference — best scores (to
+        // the bit) and match counts — across worlds and a whole query
+        // workload. The facade proptest widens this to sharded
+        // topologies and churned posting lists; this is the in-crate
+        // fast check.
         for seed in [1001u64, 2002, 3003] {
             let world = World::generate(WorldConfig {
                 sources: 40,
@@ -692,18 +642,18 @@ mod tests {
             for q in &workload.queries {
                 let normalized = crate::scatter::normalize_query(&q.terms);
                 let stats = ScatterStats::gather(&[engine.index()], &normalized);
-                let mut pruned = engine.partial_query(&normalized, &stats);
+                let mut merged = engine.partial_query(&normalized, &stats);
                 let mut oracle = engine.partial_query_unpruned(&normalized, &stats);
-                pruned.sort_by_key(|p| p.source);
+                merged.sort_by_key(|p| p.source);
                 oracle.sort_by_key(|p| p.source);
-                assert_eq!(pruned.len(), oracle.len());
-                for (p, o) in pruned.iter().zip(&oracle) {
+                assert_eq!(merged.len(), oracle.len());
+                for (p, o) in merged.iter().zip(&oracle) {
                     assert_eq!(p.source, o.source);
                     assert_eq!(p.matches, o.matches);
                     assert_eq!(
                         p.best.to_bits(),
                         o.best.to_bits(),
-                        "source {}: pruned best {} != oracle best {}",
+                        "source {}: merged best {} != oracle best {}",
                         p.source,
                         p.best,
                         o.best

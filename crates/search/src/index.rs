@@ -32,24 +32,19 @@ pub struct Posting {
 /// One term's postings plus the compaction generation that last
 /// swept it, so a batched commit never rescans a list twice.
 ///
-/// Entries are **sorted by document id** (the invariant the DAAT
+/// Entries are **sorted by document id**: the document-at-a-time
 /// merge in [`partial_query`](crate::SearchEngine::partial_query)
-/// walks), and `max_tf` is the **exact** maximum term frequency among
-/// the surviving entries — not merely an upper bound. Adds take the
-/// running max; every removal path recomputes the max over survivors
-/// in the same pass that compacts the list, so the two never drift.
+/// walks every query term's list in step on that order. Removals
+/// only delete entries, so they keep it.
 #[derive(Debug, Clone, Default)]
 struct PostingList {
     entries: Vec<Posting>,
     clean_gen: u64,
-    /// Exact max term frequency across `entries`.
-    max_tf: u32,
 }
 
 impl PostingList {
     /// Inserts a posting at its doc-id-sorted position. Appends are
-    /// O(1) (the common case: ids arrive mostly ascending); the max
-    /// takes the new frequency if it is larger.
+    /// O(1) (the common case: ids arrive mostly ascending).
     fn insert_sorted(&mut self, doc: PostId, tf: u32) {
         match self.entries.last() {
             Some(last) if last.doc < doc => self.entries.push(Posting { doc, tf }),
@@ -61,12 +56,6 @@ impl PostingList {
                 Err(pos) => self.entries.insert(pos, Posting { doc, tf }),
             },
         }
-        self.max_tf = self.max_tf.max(tf);
-    }
-
-    /// Recomputes the exact max after a removal pass.
-    fn refresh_max(&mut self) {
-        self.max_tf = self.entries.iter().map(|p| p.tf).max().unwrap_or(0);
     }
 }
 
@@ -184,7 +173,6 @@ impl InvertedIndex {
             if let Some(list) = self.postings.get_mut(term) {
                 if list.clean_gen < gen {
                     list.entries.retain(|p| !tombstones.contains_key(&p.doc));
-                    list.refresh_max();
                     list.clean_gen = gen;
                     if list.entries.is_empty() {
                         emptied.push(term);
@@ -208,7 +196,6 @@ impl InvertedIndex {
         for term in terms.iter() {
             if let Some(list) = self.postings.get_mut(term) {
                 list.entries.retain(|p| p.doc != doc);
-                list.refresh_max();
                 if list.entries.is_empty() {
                     self.postings.remove(term);
                 }
@@ -222,23 +209,12 @@ impl InvertedIndex {
     }
 
     /// Postings for a term (empty slice when absent), **sorted by
-    /// document id** — the invariant the pruned DAAT query path
+    /// document id** — the order the document-at-a-time query path
     /// merges on.
     pub fn postings(&self, term: &str) -> &[Posting] {
         self.postings
             .get(term)
             .map_or(&[], |list| list.entries.as_slice())
-    }
-
-    /// The **exact** maximum term frequency among the term's live
-    /// postings (0 when absent). Maintained incrementally: adds take
-    /// the running max, every removal path recomputes over survivors
-    /// in its compaction pass — so after any add/remove/compaction
-    /// history this equals `postings(term).iter().map(|p| p.tf).max()`
-    /// exactly. Per-term score upper bounds for top-k pruning derive
-    /// from it.
-    pub fn max_term_frequency(&self, term: &str) -> u32 {
-        self.postings.get(term).map_or(0, |list| list.max_tf)
     }
 
     /// Document frequency of a term.
@@ -415,22 +391,6 @@ mod tests {
         assert_eq!(idx.doc_length(PostId::new(0)), 2);
     }
 
-    /// Every posting list must be doc-id-sorted with an exactly
-    /// maintained max term frequency — the two invariants the pruned
-    /// query path is built on.
-    fn assert_bounds_exact(idx: &InvertedIndex) {
-        for (term, list) in &idx.postings {
-            for w in list.entries.windows(2) {
-                assert!(w[0].doc < w[1].doc, "postings of `{term}` out of order");
-            }
-            let recomputed = list.entries.iter().map(|p| p.tf).max().unwrap_or(0);
-            assert_eq!(
-                list.max_tf, recomputed,
-                "max_tf of `{term}` drifted from the survivors"
-            );
-        }
-    }
-
     #[test]
     fn postings_stay_sorted_through_out_of_order_adds() {
         let mut idx = InvertedIndex::default();
@@ -438,45 +398,10 @@ mod tests {
         for doc in [7u32, 2, 9, 0, 5] {
             idx.add_document(PostId::new(doc), s, "duomo rooftop");
         }
-        let docs: Vec<usize> = idx
-            .postings("duomo")
-            .iter()
-            .map(|p| p.doc.index())
-            .collect();
-        assert_eq!(docs, vec![0, 2, 5, 7, 9]);
-        assert_bounds_exact(&idx);
-    }
-
-    #[test]
-    fn max_term_frequency_tracks_adds_removes_and_compaction() {
-        let mut idx = InvertedIndex::default();
-        let s = SourceId::new(0);
-        idx.add_document(PostId::new(0), s, "duomo");
-        idx.add_document(PostId::new(1), s, "duomo duomo duomo");
-        idx.add_document(PostId::new(2), s, "duomo duomo");
-        assert_eq!(idx.max_term_frequency("duomo"), 3);
-        assert_eq!(idx.max_term_frequency("missing"), 0);
-
-        // Removing the max holder must *shrink* the bound to the
-        // surviving max — exact, not merely conservative.
-        idx.remove_document(PostId::new(1));
-        assert_eq!(idx.max_term_frequency("duomo"), 2);
-        assert_bounds_exact(&idx);
-
-        // The batched writer path (tombstone + one sweep) recomputes
-        // identically.
-        let mut writer = crate::writer::IndexWriter::new(&mut idx);
-        writer.remove_document(PostId::new(2));
-        writer.commit();
-        assert_eq!(idx.max_term_frequency("duomo"), 1);
-
-        // Re-adding a live doc with fewer repeats shrinks it too
-        // (re-add sweeps the old postings first).
-        idx.add_document(PostId::new(5), s, "duomo duomo duomo duomo");
-        assert_eq!(idx.max_term_frequency("duomo"), 4);
-        idx.add_document(PostId::new(5), s, "duomo");
-        assert_eq!(idx.max_term_frequency("duomo"), 1);
-        assert_bounds_exact(&idx);
+        for term in ["duomo", "rooftop"] {
+            let docs: Vec<usize> = idx.postings(term).iter().map(|p| p.doc.index()).collect();
+            assert_eq!(docs, vec![0, 2, 5, 7, 9], "postings of `{term}`");
+        }
     }
 
     #[test]

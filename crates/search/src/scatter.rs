@@ -127,9 +127,10 @@ pub struct SourcePartial {
 ///
 /// The order is total over any legal partial set (sources are
 /// distinct, so the final key never ties), which is what makes the
-/// ranking independent of partial *arrival order*: however a pruned
-/// scatter plan interleaves its per-shard outputs, and whatever the
-/// shard count, equal-scored sources land in the same positions.
+/// ranking independent of partial *arrival order*: whichever scorer
+/// produced the partials, in whatever per-shard or hash order, and
+/// whatever the shard count, equal-scored sources land in the same
+/// positions.
 /// Match count ranks above source id so that, at equal blended
 /// score, the source with broader query coverage wins rather than
 /// whichever happens to have the smaller id.
@@ -279,13 +280,13 @@ pub fn scatter_query_traced<S: AsRef<str>>(
     hits
 }
 
-/// [`scatter_query`] with every shard scored through the reference
-/// **unpruned** scorer
+/// [`scatter_query`] with every shard scored through the
+/// term-at-a-time **reference** scorer
 /// ([`SearchEngine::partial_query_unpruned`](crate::SearchEngine::partial_query_unpruned))
-/// instead of the pruned fast path. Same gather, same merge, same
-/// normalization — this is the oracle lane for the
-/// pruned-equals-unpruned property suite and the benchmark baseline;
-/// production readers never call it.
+/// instead of the document-at-a-time serving merge. Same gather,
+/// same merge, same normalization — this is the oracle lane for the
+/// merge-equals-reference property suite and the benchmark's oracle
+/// checks; production readers never call it.
 pub fn scatter_query_unpruned<S: AsRef<str>>(
     shards: &[&SearchEngine],
     terms: &[S],

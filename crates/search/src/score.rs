@@ -48,27 +48,6 @@ pub(crate) fn distinct_terms<S: AsRef<str>>(terms: &[S]) -> Vec<&str> {
         .collect()
 }
 
-/// Upper bound on the BM25 term-frequency saturation any live
-/// posting of a term can reach, derived from the **exact** per-list
-/// max term frequency
-/// ([`InvertedIndex::max_term_frequency`](crate::InvertedIndex::max_term_frequency)).
-///
-/// The saturation `tf·(k1+1) / (tf + k1·len_norm)` is increasing in
-/// `tf` and decreasing in `len_norm`, and `len_norm = 1−b +
-/// b·doc_len/avg_len ≥ 1−b` for every document, so substituting
-/// `max_tf` and `1−b` bounds every posting. The bound is computed
-/// with the same expression shape as the scorer's `sat`, so float
-/// rounding is monotone alongside it; the pruned query path still
-/// adds a relative slack before comparing, making the skip decision
-/// robust without ever perturbing the exact scores it returns.
-pub(crate) fn bm25_sat_ceiling(max_tf: u32, params: Bm25Params) -> f64 {
-    if max_tf == 0 {
-        return 0.0;
-    }
-    let tf = max_tf as f64;
-    tf * (params.k1 + 1.0) / (tf + params.k1 * (1.0 - params.b))
-}
-
 /// TF-IDF scores of all documents matching any query term.
 pub fn tfidf_scores<S: AsRef<str>>(index: &InvertedIndex, terms: &[S]) -> HashMap<PostId, f64> {
     let mut scores: HashMap<PostId, f64> = HashMap::new();

@@ -731,15 +731,16 @@ proptest! {
         k in 1usize..40,
         content_w in 0.0f64..8.0,
         depth_w in 0.0f64..4.0,
+        churn in 0u64..10_000,
     ) {
-        // The pruned DAAT fast path (`partial_query` behind
-        // `scatter_query`) skips the float scoring of documents whose
-        // score upper bound cannot beat the current k-th slot. The
-        // pruning must be invisible: for any corpus, shard count,
-        // cutoff and blend weighting, `scatter_query` must return
-        // bit-identical hits AND scores to the exhaustive
-        // `scatter_query_unpruned` oracle — which stays callable as a
-        // public API precisely so this comparison is possible.
+        // The serving scorer (`partial_query` behind `scatter_query`)
+        // merges the doc-id-sorted posting lists document at a time;
+        // the reference (`scatter_query_unpruned`) scores term at a
+        // time through a per-document map. For any corpus, shard
+        // count, cutoff, blend weighting and maintenance history the
+        // two must return bit-identical hits AND scores — the
+        // reference stays callable as a public API precisely so this
+        // comparison is possible.
         let world = tiny_world(seed);
         let panel = AlexaPanel::simulate(&world, seed);
         let links = LinkGraph::simulate(&world, seed ^ 1);
@@ -752,6 +753,8 @@ proptest! {
         let mut empty = scratch.clone();
         empty.apply_delta(&CorpusDelta::for_removals(&world.corpus, &all).unwrap());
         let mut engines: Vec<SearchEngine> = vec![empty; shards];
+        let permuted = permuted_posts(&world, churn);
+        let churned = &permuted[..churn as usize % (permuted.len() + 1)];
         for (shard, engine) in engines.iter_mut().enumerate() {
             let mine: Vec<PostId> = all
                 .iter()
@@ -764,6 +767,16 @@ proptest! {
             if !mine.is_empty() {
                 engine.apply_delta(&CorpusDelta::for_posts(&world.corpus, &mine).unwrap());
             }
+            // Churn: remove a seed-chosen subset of the shard's posts
+            // and re-add it in descending id order, so the lists the
+            // merge walks have been through a tombstone sweep and the
+            // mid-list (binary-search) insert path, not only appends.
+            let mut gone: Vec<PostId> = mine.into_iter().filter(|p| churned.contains(p)).collect();
+            if !gone.is_empty() {
+                engine.apply_delta(&CorpusDelta::for_removals(&world.corpus, &gone).unwrap());
+                gone.sort_unstable_by(|a, b| b.cmp(a));
+                engine.apply_delta(&CorpusDelta::for_posts(&world.corpus, &gone).unwrap());
+            }
         }
         let refs: Vec<&SearchEngine> = engines.iter().collect();
         let weights = BlendWeights {
@@ -774,23 +787,22 @@ proptest! {
         let static_score = |s| scratch.static_score(s);
 
         // The whole vocabulary at once (every list in play) and small
-        // realistic queries (deep pruning, since few terms bound the
-        // scores tightly).
+        // realistic queries.
         let vocab = probe_terms(&world);
         let mut queries: Vec<Vec<String>> = vec![vocab.clone()];
         for window in vocab.windows(3).step_by(7) {
             queries.push(window.to_vec());
         }
         for terms in &queries {
-            let pruned = scatter_query(&refs, terms, k, static_score, &weights);
+            let served = scatter_query(&refs, terms, k, static_score, &weights);
             let oracle = scatter_query_unpruned(&refs, terms, k, static_score, &weights);
             prop_assert_eq!(
-                &pruned, &oracle,
-                "pruned ranking diverged (shards={}, k={}, terms={})",
-                shards, k, terms.len()
+                &served, &oracle,
+                "merged ranking diverged (shards={}, k={}, terms={}, churned={})",
+                shards, k, terms.len(), churned.len()
             );
             // Bit-identical scores, not merely equal ordering.
-            for (p, o) in pruned.iter().zip(&oracle) {
+            for (p, o) in served.iter().zip(&oracle) {
                 prop_assert_eq!(p.score.to_bits(), o.score.to_bits());
             }
         }
