@@ -10,7 +10,8 @@
 //! ```
 //!
 //! * `seq` — contiguous, 1-based sequence number; replay refuses a
-//!   log with a gap or regression (that's corruption, not a crash);
+//!   log with a gap or regression, or a record numbered 0, which no
+//!   writer produces (that's corruption, not a crash);
 //! * `crc32` — IEEE CRC-32 of the line without its checksum field
 //!   (`<seq> <delta-json>`), so a bit-flipped or truncated record is
 //!   detected rather than deserialized into garbage — sequence
@@ -23,7 +24,9 @@
 //! unparseable) and *drops it* — the delta was never acknowledged as
 //! durable, so dropping it is the correct recovery. The same damage
 //! anywhere else in the file is reported as
-//! [`JournalError::Corrupt`].
+//! [`JournalError::Corrupt`], and so is a complete record that
+//! verifies but carries sequence 0, wherever it sits: a crash cannot
+//! produce one.
 //!
 //! **Group commit:** [`DeltaJournal::append_batch`] stages any number
 //! of records and makes them durable under **one** fsync — the
@@ -306,6 +309,15 @@ impl DeltaJournal {
                         // verify — the trailing newline is part of
                         // the durable format.
                         replay.torn_tail_dropped = true;
+                    } else if record.seq == 0 {
+                        // Accepting it would make recovery number the
+                        // next append 1 while the journal already holds
+                        // the record before it: a gap the next replay
+                        // refuses.
+                        return Err(JournalError::Corrupt {
+                            record: record_no,
+                            reason: "sequence 0 is never written".to_owned(),
+                        });
                     } else if let Some(prev) = out_of_sequence {
                         return Err(JournalError::Corrupt {
                             record: record_no,

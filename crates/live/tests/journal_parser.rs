@@ -203,3 +203,84 @@ proptest! {
         }
     }
 }
+
+/// IEEE CRC-32 (reflected, polynomial `0xEDB8_8320`), written out
+/// here so records can be rendered without the journal's own code.
+fn crc32(bytes: &[u8]) -> u32 {
+    let mut crc = 0xFFFF_FFFFu32;
+    for &b in bytes {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            crc = if crc & 1 == 1 {
+                (crc >> 1) ^ 0xEDB8_8320
+            } else {
+                crc >> 1
+            };
+        }
+    }
+    !crc
+}
+
+/// A record line `<seq> <crc> <json>\n` rendered by hand.
+fn render(seq: u64, delta: &CorpusDelta) -> String {
+    let json = serde_json::to_string(delta).unwrap();
+    let crc = crc32(format!("{seq} {json}").as_bytes());
+    format!("{seq} {crc:08x} {json}\n")
+}
+
+#[test]
+fn hand_rendered_records_match_the_writer() {
+    let (bytes, _) = valid_journal(2, 0);
+    let expected = render(1, &sample_delta(0)) + &render(2, &sample_delta(1));
+    assert_eq!(String::from_utf8(bytes).unwrap(), expected);
+}
+
+/// No writer stamps sequence 0, so a record carrying it — checksum
+/// valid — is corruption wherever it sits, the tail included: it
+/// cannot be a torn append.
+#[test]
+fn sequence_zero_is_refused_even_with_a_valid_checksum() {
+    let zero = render(0, &sample_delta(0));
+    let inputs = [zero.clone(), zero + &render(1, &sample_delta(1))];
+    for input in inputs {
+        // `parse` also runs `open` and checks it refuses the file and
+        // leaves it byte-for-byte alone.
+        assert!(parse(input.as_bytes()).is_none(), "accepted {input:?}");
+        let path = temp_path("seq0");
+        std::fs::write(&path, &input).unwrap();
+        let err = DeltaJournal::replay_path(&path).unwrap_err();
+        assert!(
+            matches!(&err, JournalError::Corrupt { record: 1, reason } if reason.contains("sequence 0")),
+            "{err:?}"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+}
+
+/// Recovery over a journal whose only record is numbered 0 fails
+/// instead of numbering the writer past a record it replayed.
+#[test]
+fn recovery_refuses_a_journal_holding_sequence_zero() {
+    use obs_analytics::{AlexaPanel, LinkGraph};
+    use obs_live::{LiveError, ShardedLiveService};
+    use obs_search::{BlendWeights, SearchEngine};
+    use obs_synth::{World, WorldConfig};
+
+    let world = World::generate(WorldConfig::small(5));
+    let panel = AlexaPanel::simulate(&world, 1);
+    let links = LinkGraph::simulate(&world, 2);
+    let mut seed = SearchEngine::build(&world.corpus, &panel, &links, BlendWeights::default());
+    let all: Vec<PostId> = world.corpus.posts().iter().map(|p| p.id).collect();
+    seed.apply_delta(&CorpusDelta::for_removals(&world.corpus, &all).unwrap());
+
+    let dir = temp_path("seq0_dir");
+    std::fs::create_dir_all(&dir).unwrap();
+    let journal = ShardedLiveService::shard_journal_path(&dir, 0);
+    std::fs::write(&journal, render(0, &sample_delta(0))).unwrap();
+    match ShardedLiveService::recover(&seed, 1, &dir) {
+        Err(LiveError::Journal(JournalError::Corrupt { record: 1, .. })) => {}
+        Err(other) => panic!("expected a corrupt journal, got {other:?}"),
+        Ok(_) => panic!("recovery accepted a record numbered 0"),
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

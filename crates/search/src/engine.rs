@@ -200,8 +200,8 @@ impl SearchEngine {
     /// ranking.
     ///
     /// This is the serving scorer: a document-at-a-time merge over
-    /// the doc-id-sorted posting lists. The next document is the
-    /// smallest doc id under any term's cursor (a linear scan — a
+    /// the ordinal-sorted posting lists. The next document is the
+    /// smallest ordinal under any term's cursor (a linear scan — a
     /// query has few terms); its length normalization is computed
     /// once, then every cursor sitting on it adds its `idf × sat` in
     /// distinct-term order and steps past it. That is the identical
@@ -210,6 +210,10 @@ impl SearchEngine {
     /// bit-identical to it (proptest-pinned at the workspace level).
     /// No posting can be skipped: the depth blend term counts *every*
     /// matching document.
+    ///
+    /// The loop hashes nothing: a document's length and source slot
+    /// are reads from the index's ordinal columns, and each source's
+    /// `(best, matches)` accumulates in a `Vec` indexed by slot.
     pub fn partial_query<S: AsRef<str>>(
         &self,
         terms: &[S],
@@ -226,36 +230,43 @@ impl SearchEngine {
                 (!postings.is_empty()).then(|| (postings, stats.idf(term)))
             })
             .collect();
-        let mut best_per_source: HashMap<SourceId, (f64, u32)> = HashMap::new();
-        while let Some(doc) = cursors
+        if cursors.is_empty() {
+            return Vec::new();
+        }
+        let (columns, slot_sources) = self.index.columns();
+        let mut per_slot: Vec<(f64, u32)> = vec![(f64::NEG_INFINITY, 0); slot_sources.len()];
+        while let Some(ordinal) = cursors
             .iter()
             .filter_map(|(p, _)| p.first())
-            .map(|p| p.doc)
+            .map(|p| p.ordinal)
             .min()
         {
-            let len_norm = 1.0 - params.b + params.b * self.index.doc_length(doc) as f64 / avg_len;
+            let column = columns.get(ordinal as usize);
+            let len = column.map_or(0, |c| c.len);
+            let len_norm = 1.0 - params.b + params.b * len as f64 / avg_len;
             let mut score = 0.0;
             for (postings, w) in &mut cursors {
-                if let Some((p, rest)) = postings.split_first().filter(|(p, _)| p.doc == doc) {
+                if let Some((p, rest)) =
+                    postings.split_first().filter(|(p, _)| p.ordinal == ordinal)
+                {
                     let tf = p.tf as f64;
                     let sat = tf * (params.k1 + 1.0) / (tf + params.k1 * len_norm);
                     score += *w * sat;
                     *postings = rest;
                 }
             }
-            if let Some(source) = self.index.source_of(doc) {
-                let slot = best_per_source
-                    .entry(source)
-                    .or_insert((f64::NEG_INFINITY, 0));
+            if let Some(slot) = column.and_then(|c| per_slot.get_mut(c.slot as usize)) {
                 if score > slot.0 {
                     slot.0 = score;
                 }
                 slot.1 += 1;
             }
         }
-        best_per_source
+        per_slot
             .into_iter()
-            .map(|(source, (best, matches))| SourcePartial {
+            .zip(slot_sources)
+            .filter(|((_, matches), _)| *matches > 0)
+            .map(|((best, matches), &source)| SourcePartial {
                 source,
                 best,
                 matches,
@@ -516,6 +527,50 @@ mod tests {
         assert!(engine.static_score(unseen).is_finite());
         let hits = engine.query(&["brand".to_owned()], 10);
         assert!(hits.iter().any(|h| h.source == unseen));
+    }
+
+    #[test]
+    fn sparse_post_ids_index_and_query_like_the_reference() {
+        let (_, mut engine) = engine();
+        let span = engine.index().ordinal_span();
+        let sparse = PostId::new(u32::MAX - 1);
+        let source = SourceId::new(3);
+        let mut delta = obs_model::CorpusDelta::new();
+        delta.add_doc(sparse, source, "duomo rooftop duomo");
+        engine.apply_delta(&delta);
+        // The columns grow by one live document, not to the id value.
+        assert_eq!(engine.index().ordinal_span(), span + 1);
+        let ordinal = engine.index().ordinal(sparse).expect("indexed");
+        assert_eq!(engine.index().post_at(ordinal), Some(sparse));
+        assert_eq!(engine.index().source_of(sparse), Some(source));
+        assert_eq!(engine.index().doc_length(sparse), 3);
+
+        let terms = ["duomo", "rooftop"];
+        let scores = crate::score::bm25_scores(engine.index(), &terms, engine.bm25_params());
+        assert!(scores.contains_key(&sparse));
+        let stats = ScatterStats::gather(&[engine.index()], &terms);
+        let mut merged = engine.partial_query(&terms, &stats);
+        let mut oracle = engine.partial_query_unpruned(&terms, &stats);
+        merged.sort_by_key(|p| p.source);
+        oracle.sort_by_key(|p| p.source);
+        assert_eq!(merged.len(), oracle.len());
+        for (p, o) in merged.iter().zip(&oracle) {
+            assert_eq!((p.source, p.matches), (o.source, o.matches));
+            assert_eq!(p.best.to_bits(), o.best.to_bits());
+        }
+        assert!(engine.query(&terms, 50).iter().any(|h| h.source == source));
+
+        // Removing it frees the ordinal; the next new post takes it.
+        let mut removal = obs_model::CorpusDelta::new();
+        removal.remove_doc(sparse);
+        engine.apply_delta(&removal);
+        assert_eq!(engine.index().ordinal(sparse), None);
+        assert_eq!(engine.index().post_at(ordinal), None);
+        let mut readd = obs_model::CorpusDelta::new();
+        readd.add_doc(PostId::new(u32::MAX), source, "fountain");
+        engine.apply_delta(&readd);
+        assert_eq!(engine.index().ordinal(PostId::new(u32::MAX)), Some(ordinal));
+        assert_eq!(engine.index().ordinal_span(), span + 1);
     }
 
     #[test]

@@ -5,6 +5,16 @@
 //! blog or forum. Postings store term frequencies; document lengths
 //! feed BM25's length normalization.
 //!
+//! Every live document holds a dense, shard-local **ordinal**. The
+//! read path works on ordinals only: postings are `(ordinal, tf)`
+//! sorted by ordinal, and each document's length and source slot sit
+//! in a `Vec` column indexed by ordinal, so scoring a posting is two
+//! array reads and no hashing. Only the write path maps a
+//! [`PostId`] to its ordinal. A removed document's ordinal goes on a
+//! LIFO free list once its postings are swept, so a post removed and
+//! re-added gets its ordinal — and its posting positions — back, and
+//! the columns grow with the live document count, not with id values.
+//!
 //! The index is maintainable in place: documents can be added and
 //! removed one at a time (or in batches through an
 //! [`IndexWriter`](crate::writer::IndexWriter)), and an incremental
@@ -20,22 +30,33 @@ use obs_model::{document_text, Corpus, CorpusDelta, PostId, SourceId};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-/// A posting: document and term frequency.
+/// A posting: document ordinal and term frequency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Posting {
-    /// Document (post) id.
-    pub doc: PostId,
+    /// The document's shard-local ordinal
+    /// ([`InvertedIndex::post_at`] maps it back to the post).
+    pub ordinal: u32,
     /// Term frequency in the document.
     pub tf: u32,
+}
+
+/// One ordinal's read-path column entry: what scoring a posting
+/// needs besides its term frequency.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DocColumn {
+    /// Token length (0 while the ordinal is tombstoned or free).
+    pub(crate) len: u32,
+    /// Source slot: an index into [`InvertedIndex::slot_sources`].
+    pub(crate) slot: u32,
 }
 
 /// One term's postings plus the compaction generation that last
 /// swept it, so a batched commit never rescans a list twice.
 ///
-/// Entries are **sorted by document id**: the document-at-a-time
-/// merge in [`partial_query`](crate::SearchEngine::partial_query)
-/// walks every query term's list in step on that order. Removals
-/// only delete entries, so they keep it.
+/// Entries are **sorted by ordinal**: the document-at-a-time merge
+/// in [`partial_query`](crate::SearchEngine::partial_query) walks
+/// every query term's list in step on that order. Removals only
+/// delete entries, so they keep it.
 #[derive(Debug, Clone, Default)]
 struct PostingList {
     entries: Vec<Posting>,
@@ -43,18 +64,27 @@ struct PostingList {
 }
 
 impl PostingList {
-    /// Inserts a posting at its doc-id-sorted position. Appends are
-    /// O(1) (the common case: ids arrive mostly ascending).
-    fn insert_sorted(&mut self, doc: PostId, tf: u32) {
+    /// Inserts a posting at its ordinal-sorted position. Appends are
+    /// O(1) (the common case: fresh ordinals are handed out
+    /// ascending).
+    fn insert_sorted(&mut self, ordinal: u32, tf: u32) {
+        let posting = Posting { ordinal, tf };
         match self.entries.last() {
-            Some(last) if last.doc < doc => self.entries.push(Posting { doc, tf }),
-            _ => match self.entries.binary_search_by(|p| p.doc.cmp(&doc)) {
-                // A live duplicate cannot occur (re-adds remove the
-                // old document first); replacing keeps the list a
-                // valid set even if that precondition were violated.
+            Some(last) if last.ordinal < ordinal => self.entries.push(posting),
+            _ => match self.entries.binary_search_by_key(&ordinal, |p| p.ordinal) {
+                // A live duplicate cannot occur (an ordinal is reused
+                // only after its postings are swept); replacing keeps
+                // the list a valid set even if that were violated.
                 Ok(pos) => self.entries[pos].tf = tf,
-                Err(pos) => self.entries.insert(pos, Posting { doc, tf }),
+                Err(pos) => self.entries.insert(pos, posting),
             },
+        }
+    }
+
+    /// Deletes the posting of `ordinal`, if present.
+    fn remove(&mut self, ordinal: u32) {
+        if let Ok(pos) = self.entries.binary_search_by_key(&ordinal, |p| p.ordinal) {
+            self.entries.remove(pos);
         }
     }
 }
@@ -63,19 +93,31 @@ impl PostingList {
 #[derive(Debug, Clone, Default)]
 pub struct InvertedIndex {
     postings: HashMap<String, PostingList>,
-    doc_len: HashMap<PostId, u32>,
-    doc_source: HashMap<PostId, SourceId>,
-    /// Forward index: the distinct terms of each live document, so a
-    /// removal knows exactly which posting lists it dirties. Shared
-    /// (`Arc`), so the copy-on-write clone a writer takes of a
-    /// published index copies one pointer per document, not its terms.
-    doc_terms: HashMap<PostId, Arc<[String]>>,
+    /// Read path, indexed by ordinal: length and source slot.
+    columns: Vec<DocColumn>,
+    /// Source slot → source.
+    slot_sources: Vec<SourceId>,
+    /// Ordinal → post. A free ordinal keeps its last post; liveness
+    /// is `ordinals[posts[o]] == o`.
+    posts: Vec<PostId>,
+    /// Ordinal → the document's distinct terms (the forward index a
+    /// removal uses to find the posting lists it dirties); `None`
+    /// once the ordinal is free. Shared (`Arc`), so the
+    /// copy-on-write clone a writer takes of a published index
+    /// copies one pointer per document, not its terms.
+    doc_terms: Vec<Option<Arc<[String]>>>,
+    /// Write path: live post → ordinal.
+    ordinals: HashMap<PostId, u32>,
+    /// Write path: source → slot.
+    source_slots: HashMap<SourceId, u32>,
+    /// Swept ordinals awaiting reuse, popped last-in first-out.
+    free: Vec<u32>,
     total_len: u64,
     /// Documents removed but not yet swept from their posting lists,
-    /// keyed to the terms awaiting compaction. Only ever non-empty
-    /// while an [`IndexWriter`](crate::writer::IndexWriter) holds the
-    /// index mutably, so readers never observe a stale posting.
-    tombstones: HashMap<PostId, Arc<[String]>>,
+    /// with their ordinals. Only ever non-empty while an
+    /// [`IndexWriter`](crate::writer::IndexWriter) holds the index
+    /// mutably, so readers never observe a stale posting.
+    tombstones: HashMap<PostId, u32>,
     /// Compaction generation, bumped once per sweep.
     generation: u64,
 }
@@ -97,7 +139,7 @@ impl InvertedIndex {
     /// Adds one document. Re-adding a live document replaces its
     /// previous contents (update semantics).
     pub fn add_document(&mut self, doc: PostId, source: SourceId, text: &str) {
-        if self.doc_len.contains_key(&doc) {
+        if self.ordinals.contains_key(&doc) {
             self.remove_document(doc);
         } else if self.tombstones.contains_key(&doc) {
             // Pending removal of the same id: sweep its old postings
@@ -110,18 +152,50 @@ impl InvertedIndex {
             *tf.entry(t).or_insert(0) += 1;
         }
         let len: u32 = tf.values().sum();
-        self.doc_len.insert(doc, len);
-        self.doc_source.insert(doc, source);
+        let slot = self.slot_of(source);
+        let ordinal = self.allocate(doc, DocColumn { len, slot });
         self.total_len += len as u64;
         let mut terms = Vec::with_capacity(tf.len());
         for (term, freq) in tf {
             self.postings
                 .entry(term.clone())
                 .or_default()
-                .insert_sorted(doc, freq);
+                .insert_sorted(ordinal, freq);
             terms.push(term);
         }
-        self.doc_terms.insert(doc, terms.into());
+        self.doc_terms[ordinal as usize] = Some(terms.into());
+    }
+
+    /// The source's slot, assigning the next one on first sight.
+    /// Slots are never freed: a source with no live document simply
+    /// has no posting pointing at its slot.
+    fn slot_of(&mut self, source: SourceId) -> u32 {
+        let next = self.slot_sources.len() as u32;
+        let slot = *self.source_slots.entry(source).or_insert(next);
+        if slot == next {
+            self.slot_sources.push(source);
+        }
+        slot
+    }
+
+    /// Hands `doc` an ordinal — the most recently freed one, else a
+    /// fresh one at the end of the columns — and fills its column.
+    fn allocate(&mut self, doc: PostId, column: DocColumn) -> u32 {
+        let ordinal = match self.free.pop() {
+            Some(ordinal) => {
+                self.columns[ordinal as usize] = column;
+                self.posts[ordinal as usize] = doc;
+                ordinal
+            }
+            None => {
+                self.columns.push(column);
+                self.posts.push(doc);
+                self.doc_terms.push(None);
+                (self.columns.len() - 1) as u32
+            }
+        };
+        self.ordinals.insert(doc, ordinal);
+        ordinal
     }
 
     /// Removes one document, sweeping its postings immediately.
@@ -143,64 +217,78 @@ impl InvertedIndex {
     }
 
     /// Marks a document removed without sweeping its postings:
-    /// statistics (count, lengths, source) update immediately, the
-    /// posting entries wait for [`InvertedIndex::sweep`]. Crate-
-    /// internal: only the writer defers sweeps.
+    /// statistics (count, total length) update immediately, the
+    /// posting entries wait for [`InvertedIndex::sweep`], and the
+    /// ordinal stays taken until then. Crate-internal: only the
+    /// writer defers sweeps.
     pub(crate) fn tombstone_document(&mut self, doc: PostId) -> bool {
-        let Some(len) = self.doc_len.remove(&doc) else {
+        let Some(ordinal) = self.ordinals.remove(&doc) else {
             return false;
         };
+        let len = std::mem::take(&mut self.columns[ordinal as usize].len);
         self.total_len -= len as u64;
-        self.doc_source.remove(&doc);
-        let terms = self.doc_terms.remove(&doc).unwrap_or_else(|| Arc::from([]));
-        self.tombstones.insert(doc, terms);
+        self.tombstones.insert(doc, ordinal);
         true
     }
 
     /// Sweeps all pending tombstones in one generation: every posting
     /// list dirtied by at least one tombstoned document is compacted
-    /// exactly once, however many documents it hosted.
+    /// exactly once, however many documents it hosted. The swept
+    /// ordinals go on the free list, lowest on top.
     pub(crate) fn sweep(&mut self) -> usize {
         if self.tombstones.is_empty() {
             return 0;
         }
         self.generation += 1;
         let gen = self.generation;
-        let tombstones = std::mem::take(&mut self.tombstones);
-        let swept = tombstones.len();
-        let mut emptied: Vec<&String> = Vec::new();
-        for term in tombstones.values().flat_map(|terms| terms.iter()) {
-            if let Some(list) = self.postings.get_mut(term) {
-                if list.clean_gen < gen {
-                    list.entries.retain(|p| !tombstones.contains_key(&p.doc));
-                    list.clean_gen = gen;
-                    if list.entries.is_empty() {
-                        emptied.push(term);
+        let mut dead: Vec<u32> = std::mem::take(&mut self.tombstones).into_values().collect();
+        dead.sort_unstable();
+        let mut emptied: HashSet<&String> = HashSet::new();
+        for &ordinal in &dead {
+            let Some(terms) = &self.doc_terms[ordinal as usize] else {
+                continue;
+            };
+            for term in terms.iter() {
+                if let Some(list) = self.postings.get_mut(term) {
+                    if list.clean_gen < gen {
+                        list.entries
+                            .retain(|p| dead.binary_search(&p.ordinal).is_err());
+                        list.clean_gen = gen;
+                        if list.entries.is_empty() {
+                            emptied.insert(term);
+                        }
                     }
                 }
             }
         }
-        let emptied: HashSet<&String> = emptied.into_iter().collect();
         for term in emptied {
             self.postings.remove(term);
         }
-        swept
+        for &ordinal in dead.iter().rev() {
+            self.doc_terms[ordinal as usize] = None;
+            self.free.push(ordinal);
+        }
+        dead.len()
     }
 
     /// Sweeps one specific tombstone (used when a pending removal is
-    /// cancelled by a re-add of the same document id).
+    /// cancelled by a re-add of the same document id) and frees its
+    /// ordinal, which the re-add then takes straight back.
     fn sweep_tombstone(&mut self, doc: PostId) {
-        let Some(terms) = self.tombstones.remove(&doc) else {
+        let Some(ordinal) = self.tombstones.remove(&doc) else {
             return;
         };
-        for term in terms.iter() {
-            if let Some(list) = self.postings.get_mut(term) {
-                list.entries.retain(|p| p.doc != doc);
-                if list.entries.is_empty() {
-                    self.postings.remove(term);
+        if let Some(terms) = self.doc_terms[ordinal as usize].take() {
+            for term in terms.iter() {
+                if let Some(list) = self.postings.get_mut(term) {
+                    list.remove(ordinal);
+                    if list.entries.is_empty() {
+                        self.postings.remove(term);
+                    }
                 }
             }
         }
+        self.free.push(ordinal);
     }
 
     /// Number of removals awaiting a sweep.
@@ -209,12 +297,18 @@ impl InvertedIndex {
     }
 
     /// Postings for a term (empty slice when absent), **sorted by
-    /// document id** — the order the document-at-a-time query path
+    /// ordinal** — the order the document-at-a-time query path
     /// merges on.
     pub fn postings(&self, term: &str) -> &[Posting] {
         self.postings
             .get(term)
             .map_or(&[], |list| list.entries.as_slice())
+    }
+
+    /// The read-path columns: per ordinal its length and source slot,
+    /// and per slot its source.
+    pub(crate) fn columns(&self) -> (&[DocColumn], &[SourceId]) {
+        (&self.columns, &self.slot_sources)
     }
 
     /// Document frequency of a term.
@@ -224,12 +318,36 @@ impl InvertedIndex {
 
     /// Number of indexed documents.
     pub fn doc_count(&self) -> usize {
-        self.doc_len.len()
+        self.ordinals.len()
+    }
+
+    /// A live document's ordinal.
+    pub fn ordinal(&self, doc: PostId) -> Option<u32> {
+        self.ordinals.get(&doc).copied()
+    }
+
+    /// The live document holding `ordinal` (`None` for a free or
+    /// out-of-range ordinal).
+    pub fn post_at(&self, ordinal: u32) -> Option<PostId> {
+        let post = *self.posts.get(ordinal as usize)?;
+        (self.ordinal(post) == Some(ordinal)).then_some(post)
+    }
+
+    /// Length of the ordinal columns: live documents plus free
+    /// ordinals awaiting reuse. It follows how many documents were
+    /// live at once, never the values of their ids.
+    pub fn ordinal_span(&self) -> usize {
+        self.columns.len()
     }
 
     /// A document's token length.
     pub fn doc_length(&self, doc: PostId) -> u32 {
-        self.doc_len.get(&doc).copied().unwrap_or(0)
+        self.ordinal(doc).map_or(0, |o| self.ordinal_length(o))
+    }
+
+    /// The token length held at `ordinal` (0 when free).
+    pub(crate) fn ordinal_length(&self, ordinal: u32) -> u32 {
+        self.columns.get(ordinal as usize).map_or(0, |c| c.len)
     }
 
     /// Total token length across all live documents — the numerator
@@ -242,16 +360,17 @@ impl InvertedIndex {
 
     /// Average document length.
     pub fn avg_doc_length(&self) -> f64 {
-        if self.doc_len.is_empty() {
+        if self.ordinals.is_empty() {
             0.0
         } else {
-            self.total_len as f64 / self.doc_len.len() as f64
+            self.total_len as f64 / self.ordinals.len() as f64
         }
     }
 
     /// Source hosting a document.
     pub fn source_of(&self, doc: PostId) -> Option<SourceId> {
-        self.doc_source.get(&doc).copied()
+        let column = self.columns.get(self.ordinal(doc)? as usize)?;
+        self.slot_sources.get(column.slot as usize).copied()
     }
 
     /// Number of distinct terms.
@@ -399,9 +518,22 @@ mod tests {
             idx.add_document(PostId::new(doc), s, "duomo rooftop");
         }
         for term in ["duomo", "rooftop"] {
-            let docs: Vec<usize> = idx.postings(term).iter().map(|p| p.doc.index()).collect();
-            assert_eq!(docs, vec![0, 2, 5, 7, 9], "postings of `{term}`");
+            let ordinals: Vec<u32> = idx.postings(term).iter().map(|p| p.ordinal).collect();
+            assert_eq!(ordinals, vec![0, 1, 2, 3, 4], "postings of `{term}`");
         }
+        // Removing from the middle and adding a new id reuses the
+        // freed ordinal at the same position.
+        idx.remove_document(PostId::new(9));
+        idx.add_document(PostId::new(11), s, "duomo rooftop");
+        assert_eq!(idx.ordinal(PostId::new(11)), Some(2));
+        let docs: Vec<Option<PostId>> = idx
+            .postings("duomo")
+            .iter()
+            .map(|p| idx.post_at(p.ordinal))
+            .collect();
+        let expected = [7, 2, 11, 0, 5].map(|d| Some(PostId::new(d)));
+        assert_eq!(docs, expected);
+        assert_eq!(idx.ordinal_span(), 5);
     }
 
     #[test]

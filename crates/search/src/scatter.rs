@@ -32,7 +32,7 @@
 use crate::blend::BlendWeights;
 use crate::engine::{SearchEngine, SearchHit};
 use crate::index::InvertedIndex;
-use crate::score::idf_from_counts;
+use crate::score::{distinct_terms, idf_from_counts};
 use crate::token::{is_normalized_token, tokenize};
 use obs_model::SourceId;
 use std::borrow::Cow;
@@ -120,10 +120,12 @@ pub struct SourcePartial {
 }
 
 /// Merges per-shard partial results into the final top-k ranking:
-/// each partial is blended with its source's static score, sorted by
-/// the documented **total order** — blended score descending, then
-/// match count descending, then source id ascending — and truncated
-/// to `k` with 1-based positions.
+/// each partial is blended with its source's static score, the `k`
+/// first under the documented **total order** — blended score
+/// descending, then match count descending, then source id ascending
+/// — are selected (`select_nth_unstable_by`, linear in the partial
+/// count) and only those are sorted, with 1-based positions. Under a
+/// total order that is exactly sort-then-truncate.
 ///
 /// The order is total over any legal partial set (sources are
 /// distinct, so the final key never ties), which is what makes the
@@ -168,6 +170,9 @@ pub fn merge_partials(
     weights: &BlendWeights,
     k: usize,
 ) -> Vec<SearchHit> {
+    if k == 0 {
+        return Vec::new();
+    }
     let mut blended: Vec<(SearchHit, u32)> = partials
         .into_iter()
         .map(|p| {
@@ -183,19 +188,26 @@ pub fn merge_partials(
             )
         })
         .collect();
-    blended.sort_by(|(a, a_matches), (b, b_matches)| {
+    let order = |(a, a_matches): &(SearchHit, u32), (b, b_matches): &(SearchHit, u32)| {
         b.score
             .total_cmp(&a.score)
             .then(b_matches.cmp(a_matches))
             .then(a.source.cmp(&b.source))
-    });
-    blended.truncate(k);
+    };
+    if k < blended.len() {
+        blended.select_nth_unstable_by(k - 1, order);
+        blended.truncate(k);
+    }
+    blended.sort_unstable_by(order);
+    // Iterating by reference allocates exactly `k` hits: collecting
+    // from `into_iter` would reuse the buffer of every blended partial,
+    // and each kept result (a cache entry, say) would pin it.
     blended
-        .into_iter()
+        .iter()
         .enumerate()
-        .map(|(i, (mut h, _))| {
-            h.position = i + 1;
-            h
+        .map(|(i, &(hit, _))| SearchHit {
+            position: i + 1,
+            ..hit
         })
         .collect()
 }
@@ -207,16 +219,17 @@ pub fn merge_partials(
 /// boundary through these callbacks and an *untagged* implementation
 /// (see [`SearchMetrics`](crate::trace::SearchMetrics)) turns the
 /// boundaries into latency histograms. The hooks carry only plan
-/// facts (shard index, result counts) — never time — and every
+/// facts (shard index, result and posting counts) — never time — and every
 /// method defaults to a no-op, so tracing is strictly additive: the
 /// plan's arithmetic and ranking are byte-identical with or without
 /// a trace attached.
 pub trait ScatterTrace {
     /// Global statistics gathered across every shard.
     fn gathered(&mut self) {}
-    /// Shard `shard` finished scoring, contributing `partials`
-    /// per-source partial results.
-    fn shard_scored(&mut self, _shard: usize, _partials: usize) {}
+    /// Shard `shard` finished scoring: it walked `postings` postings
+    /// (Σ document frequency over the distinct query terms) and
+    /// contributed `partials` per-source partial results.
+    fn shard_scored(&mut self, _shard: usize, _partials: usize, _postings: usize) {}
     /// The merge produced the final `hits`-element ranking.
     fn merged(&mut self, _hits: usize) {}
 }
@@ -269,11 +282,16 @@ pub fn scatter_query_traced<S: AsRef<str>>(
     let indexes: Vec<&InvertedIndex> = shards.iter().map(|s| s.index()).collect();
     let stats = ScatterStats::gather(&indexes, &normalized);
     trace.gathered();
+    let distinct = distinct_terms(&normalized);
     let mut partials = Vec::new();
     for (i, shard) in shards.iter().enumerate() {
         let before = partials.len();
         partials.extend(shard.partial_query(&normalized, &stats));
-        trace.shard_scored(i, partials.len() - before);
+        let postings = distinct
+            .iter()
+            .map(|t| shard.index().doc_frequency(t))
+            .sum();
+        trace.shard_scored(i, partials.len() - before, postings);
     }
     let hits = merge_partials(partials, static_score, weights, k);
     trace.merged(hits.len());
@@ -390,6 +408,23 @@ mod tests {
         let hits = merge_partials(many, |_| 0.0, &BlendWeights::default(), 3);
         assert_eq!(hits.len(), 3);
         assert_eq!(hits[0].source, SourceId::new(9));
+    }
+
+    /// A result is kept (cached, sampled) long after its query: it
+    /// must own a `k`-hit buffer, not the buffer that held every
+    /// blended partial.
+    #[test]
+    fn merged_hits_do_not_keep_the_partials_buffer() {
+        let many: Vec<SourcePartial> = (0..4000)
+            .map(|i| SourcePartial {
+                source: SourceId::new(i),
+                best: i as f64,
+                matches: 1,
+            })
+            .collect();
+        let hits = merge_partials(many, |_| 0.0, &BlendWeights::default(), 10);
+        assert_eq!(hits.len(), 10);
+        assert!(hits.capacity() <= 10, "capacity {}", hits.capacity());
     }
 
     /// Regression fixture for the merge's documented total order

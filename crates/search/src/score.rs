@@ -54,7 +54,9 @@ pub fn tfidf_scores<S: AsRef<str>>(index: &InvertedIndex, terms: &[S]) -> HashMa
     for term in distinct_terms(terms) {
         let w = idf(index, term);
         for p in index.postings(term) {
-            *scores.entry(p.doc).or_insert(0.0) += (1.0 + (p.tf as f64).ln()) * w;
+            if let Some(doc) = index.post_at(p.ordinal) {
+                *scores.entry(doc).or_insert(0.0) += (1.0 + (p.tf as f64).ln()) * w;
+            }
         }
     }
     scores
@@ -88,10 +90,14 @@ pub fn bm25_scores_with<S: AsRef<str>>(
     for term in distinct_terms(terms) {
         let w = stats.idf(term);
         for p in index.postings(term) {
+            let Some(doc) = index.post_at(p.ordinal) else {
+                continue;
+            };
             let tf = p.tf as f64;
-            let len_norm = 1.0 - params.b + params.b * index.doc_length(p.doc) as f64 / avg_len;
+            let len = index.ordinal_length(p.ordinal);
+            let len_norm = 1.0 - params.b + params.b * len as f64 / avg_len;
             let sat = tf * (params.k1 + 1.0) / (tf + params.k1 * len_norm);
-            *scores.entry(p.doc).or_insert(0.0) += w * sat;
+            *scores.entry(doc).or_insert(0.0) += w * sat;
         }
     }
     scores

@@ -10,7 +10,10 @@
 //!
 //! * `search_query_ns` — whole-plan latency (normalize → merge);
 //! * `search_gather_ns` — the global statistics gather;
-//! * `search_partial_ns{shard}` — each shard's `partial_query`.
+//! * `search_partial_ns{shard}` — each shard's `partial_query`;
+//! * `search_partial_postings{shard}` — the postings that shard's
+//!   `partial_query` walked, so a slow query shows how much work it
+//!   was, not only how long it took.
 //!
 //! Shards are scored sequentially inside the plan, so the interval
 //! between consecutive hooks attributes cleanly to exactly one
@@ -27,6 +30,7 @@ pub struct SearchMetrics {
     query_ns: Histogram,
     gather_ns: Histogram,
     partial_ns: Vec<Histogram>,
+    partial_postings: Vec<Histogram>,
 }
 
 impl SearchMetrics {
@@ -39,6 +43,11 @@ impl SearchMetrics {
             gather_ns: registry.histogram("search_gather_ns"),
             partial_ns: (0..shards)
                 .map(|i| registry.histogram_with("search_partial_ns", &[("shard", &i.to_string())]))
+                .collect(),
+            partial_postings: (0..shards)
+                .map(|i| {
+                    registry.histogram_with("search_partial_postings", &[("shard", &i.to_string())])
+                })
                 .collect(),
         }
     }
@@ -77,10 +86,13 @@ impl ScatterTrace for QueryTimer<'_> {
         self.last = now;
     }
 
-    fn shard_scored(&mut self, shard: usize, _partials: usize) {
+    fn shard_scored(&mut self, shard: usize, _partials: usize, postings: usize) {
         let now = self.metrics.clock.now_ns();
         if let Some(hist) = self.metrics.partial_ns.get(shard) {
             hist.record(now.saturating_sub(self.last));
+        }
+        if let Some(hist) = self.metrics.partial_postings.get(shard) {
+            hist.record(postings as u64);
         }
         self.last = now;
     }
@@ -108,15 +120,17 @@ mod tests {
         clock.advance(100); // gather
         timer.gathered();
         clock.advance(40); // shard 0
-        timer.shard_scored(0, 3);
+        timer.shard_scored(0, 3, 500);
         clock.advance(60); // shard 1
-        timer.shard_scored(1, 1);
+        timer.shard_scored(1, 1, 70);
         clock.advance(25); // merge
         timer.merged(4);
 
         assert_eq!(metrics.gather_ns.snapshot().sum(), 100);
         assert_eq!(metrics.partial_ns[0].snapshot().sum(), 40);
         assert_eq!(metrics.partial_ns[1].snapshot().sum(), 60);
+        assert_eq!(metrics.partial_postings[0].snapshot().sum(), 500);
+        assert_eq!(metrics.partial_postings[1].snapshot().sum(), 70);
         assert_eq!(metrics.query_ns.snapshot().sum(), 225);
     }
 
@@ -125,7 +139,7 @@ mod tests {
         let registry = Registry::new();
         let metrics = SearchMetrics::new(&registry, 1);
         let mut timer = metrics.trace();
-        timer.shard_scored(7, 1); // no histogram 7: dropped
+        timer.shard_scored(7, 1, 9); // no histogram 7: dropped
         timer.merged(0);
         assert_eq!(metrics.query_snapshot().count(), 1);
     }

@@ -128,7 +128,8 @@ mod tests {
         );
         // The shared term survives with only the live doc.
         assert_eq!(idx.doc_frequency("duomo"), 1);
-        assert_eq!(idx.postings("duomo")[0].doc, PostId::new(2));
+        let ordinal = idx.postings("duomo")[0].ordinal;
+        assert_eq!(idx.post_at(ordinal), Some(PostId::new(2)));
         // Exclusive terms are gone from the vocabulary.
         assert_eq!(idx.doc_frequency("rooftop"), 0);
         assert_eq!(idx.doc_count(), 1);

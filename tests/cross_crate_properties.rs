@@ -734,7 +734,7 @@ proptest! {
         churn in 0u64..10_000,
     ) {
         // The serving scorer (`partial_query` behind `scatter_query`)
-        // merges the doc-id-sorted posting lists document at a time;
+        // merges the ordinal-sorted posting lists document at a time;
         // the reference (`scatter_query_unpruned`) scores term at a
         // time through a per-document map. For any corpus, shard
         // count, cutoff, blend weighting and maintenance history the
